@@ -2,9 +2,9 @@
 and Top-N pagination.
 
 The acceptance bar for the planner work: an unindexed 1 000 x 1 000
-equi-join must run at least 5x faster through the hash join than through
-the naive nested loop (it is O(n+m) vs O(n*m), so the observed ratio is
-far larger), and an inequality predicate over an indexed column must ride
+equi-join must run at least 5x faster through the hash join than the
+same join through a nested loop (it is O(n+m) vs O(n*m), so the observed
+ratio is far larger), and an inequality predicate over an indexed column must ride
 ``SortedIndex.range_scan`` instead of a sequential scan.
 
 These medians feed the perf-regression CI gate (BENCH_planner.json via
@@ -38,6 +38,8 @@ def _join_database(rows: int = JOIN_ROWS) -> Database:
 
 
 JOIN_SQL = "SELECT L.K, R.K FROM L JOIN R ON L.B = R.D"
+#: the same join with an expression key, which the planner cannot hash
+LOOP_JOIN_SQL = "SELECT L.K, R.K FROM L JOIN R ON L.B + 0 = R.D"
 
 
 def test_bench_hash_join_1000x1000(benchmark):
@@ -79,6 +81,7 @@ def test_bench_topn_pagination(benchmark):
 def test_bench_hash_join_vs_nested_loop(benchmark):
     """The acceptance criterion: >= 5x speedup on the unindexed equi-join."""
     db = _join_database()
+    assert "nested-loop join" in db.explain(LOOP_JOIN_SQL)
 
     def measure():
         start = time.perf_counter()
@@ -86,23 +89,23 @@ def test_bench_hash_join_vs_nested_loop(benchmark):
             hashed = db.execute(JOIN_SQL)
         hash_time = (time.perf_counter() - start) / 3
         start = time.perf_counter()
-        naive = db.execute(JOIN_SQL, pushdown=False)
-        naive_time = time.perf_counter() - start
-        assert sorted(hashed.rows) == sorted(naive.rows)
-        return hash_time, naive_time
+        looped = db.execute(LOOP_JOIN_SQL)
+        loop_time = time.perf_counter() - start
+        assert sorted(hashed.rows) == sorted(looped.rows)
+        return hash_time, loop_time
 
-    hash_time, naive_time = benchmark.pedantic(measure, rounds=1, iterations=1)
+    hash_time, loop_time = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     table = PaperTable(
         "P1",
         f"unindexed {JOIN_ROWS}x{JOIN_ROWS} equi-join: hash join vs nested loop",
         ["strategy", "time", "speedup"],
     )
-    table.add_row("nested loop (pushdown=off)", f"{naive_time * 1e3:.1f} ms", "1x")
+    table.add_row("nested loop (L.B + 0 = R.D)", f"{loop_time * 1e3:.1f} ms", "1x")
     table.add_row(
         "hash join", f"{hash_time * 1e3:.1f} ms",
-        f"{naive_time / hash_time:.0f}x",
+        f"{loop_time / hash_time:.0f}x",
     )
     table.show()
 
-    assert naive_time / hash_time >= 5.0
+    assert loop_time / hash_time >= 5.0

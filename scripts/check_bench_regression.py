@@ -8,7 +8,8 @@ Usage:
 
 Benchmarks whose name contains one of the guarded keywords (point lookups
 and joins — the planner's hot paths) fail the check when their median
-exceeds ``max-ratio`` times the baseline median.  Other benchmarks are
+exceeds ``max-ratio`` times the baseline median, or when they are in the
+baseline but missing from the current run.  Other benchmarks are
 reported but never fail: absolute CI-runner speed varies, so only the
 guarded set is enforced, and only by ratio.
 
@@ -45,6 +46,10 @@ def load_medians(path: str) -> dict[str, float]:
     }
 
 
+def is_guarded(name: str) -> bool:
+    return any(keyword in name.lower() for keyword in GUARDED_KEYWORDS)
+
+
 def check_medians(baseline_path: str, current_path: str,
                   max_ratio: float) -> list[str]:
     baseline = load_medians(baseline_path)
@@ -57,7 +62,7 @@ def check_medians(baseline_path: str, current_path: str,
             print(f"  new       {name}: {median * 1e6:.1f} us (no baseline)")
             continue
         ratio = median / reference
-        guarded = any(keyword in name.lower() for keyword in GUARDED_KEYWORDS)
+        guarded = is_guarded(name)
         status = "ok"
         if ratio > max_ratio and guarded:
             status = "REGRESSED"
@@ -75,6 +80,8 @@ def check_medians(baseline_path: str, current_path: str,
     missing = sorted(set(baseline) - set(current))
     for name in missing:
         print(f"  missing   {name}: present in baseline but not in this run")
+        if is_guarded(name):
+            failures.append(f"{name}: guarded benchmark missing from this run")
     return failures
 
 

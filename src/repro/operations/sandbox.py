@@ -28,9 +28,11 @@ parameters (``PARAMS``) and writes any output to relative filenames.
 from __future__ import annotations
 
 import builtins
+import itertools
 import os
 import shutil
 import sys
+import threading
 from typing import Any
 
 from repro.errors import OperationExecutionError, SandboxViolation
@@ -53,6 +55,10 @@ _SAFE_BUILTIN_NAMES = (
     "TypeError", "KeyError", "IndexError", "ZeroDivisionError",
     "ArithmeticError", "Exception", "StopIteration", "RuntimeError",
 )
+
+#: the working directory is process-wide; one run at a time holds it from
+#: ``chdir`` into its workdir until the previous directory is restored
+_CWD_LOCK = threading.Lock()
 
 
 class SandboxPolicy:
@@ -115,14 +121,13 @@ class Sandbox:
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
-        self._serial = 0
+        self._serial = itertools.count(1)
 
     def make_workdir(self, session_tag: str) -> str:
         """A unique temporary directory, named after the session like the
         paper's startup servlet does."""
-        self._serial += 1
         safe_tag = "".join(c for c in session_tag if c.isalnum() or c in "-_") or "anon"
-        path = os.path.join(self.root, f"{safe_tag}_{self._serial:06d}")
+        path = os.path.join(self.root, f"{safe_tag}_{next(self._serial):06d}")
         os.makedirs(path, exist_ok=False)
         return path
 
@@ -213,22 +218,25 @@ class Sandbox:
         except SyntaxError as exc:
             raise OperationExecutionError(f"operation code does not compile: {exc}")
 
-        previous_cwd = os.getcwd()
-        os.chdir(workdir)  # the batch file's `cd` step
-        if not policy.trusted:
-            sys.settrace(tracer)
-        try:
-            exec(code, env)
-        except SandboxViolation:
-            raise
-        except Exception as exc:
-            raise OperationExecutionError(
-                f"operation raised {type(exc).__name__}: {exc}"
-            ) from exc
-        finally:
+        # chdir rather than only confining open(): numpy's relative-path
+        # file I/O resolves against the process's cwd
+        with _CWD_LOCK:
+            previous_cwd = os.getcwd()
+            os.chdir(workdir)  # the batch file's `cd` step
             if not policy.trusted:
-                sys.settrace(None)
-            os.chdir(previous_cwd)
+                sys.settrace(tracer)
+            try:
+                exec(code, env)
+            except SandboxViolation:
+                raise
+            except Exception as exc:
+                raise OperationExecutionError(
+                    f"operation raised {type(exc).__name__}: {exc}"
+                ) from exc
+            finally:
+                if not policy.trusted:
+                    sys.settrace(None)
+                os.chdir(previous_cwd)
 
         outputs: dict[str, bytes] = {}
         total = 0

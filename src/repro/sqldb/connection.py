@@ -265,15 +265,14 @@ class Connection:
 
     # -- public API ------------------------------------------------------------
 
-    def execute(self, sql: str, params: Sequence[Any] = (),
-                pushdown: bool = True):
+    def execute(self, sql: str, params: Sequence[Any] = ()):
         self._check_open()
-        return self._db._execute_on(self, sql, params, pushdown)
+        return self._db._execute_on(self, sql, params)
 
     def execute_statement(self, stmt, params: Sequence[Any] = (),
-                          sql: str | None = None, pushdown: bool = True):
+                          sql: str | None = None):
         self._check_open()
-        return self._db._execute_statement_on(self, stmt, params, sql, pushdown)
+        return self._db._execute_statement_on(self, stmt, params, sql)
 
     def execute_script(self, sql: str, params: Sequence[Any] = ()):
         from repro.sqldb.parser import parse_script_with_sql
@@ -311,7 +310,7 @@ class Connection:
 
     # -- the snapshot read path --------------------------------------------------
 
-    def _execute_read(self, stmt, params: Sequence[Any], pushdown: bool):
+    def _execute_read(self, stmt, params: Sequence[Any]):
         """Run a SELECT/UNION/EXPLAIN for this connection.
 
         Snapshot mode applies to autocommit reads on snapshot-enabled
@@ -320,10 +319,10 @@ class Connection:
         """
         db = self._db
         if not self.snapshot_reads or self.txns.active is not None:
-            return db._run_read(stmt, params, pushdown, self.executor)
+            return db._run_read(stmt, params, self.executor)
         with db._snapshot_scope() as snapshot:
             self._snap_catalog.begin(snapshot)
-            result = db._run_read(stmt, params, pushdown, self._snap_executor)
+            result = db._run_read(stmt, params, self._snap_executor)
             if self._snap_catalog.consistent():
                 db._observe_snapshot_read(snapshot, retried=False)
                 return result
@@ -331,7 +330,7 @@ class Connection:
             # indexes; the result may mix generations.  Re-run against the
             # versioned scan path, which is race-free at this snapshot.
             self._snap_catalog.begin(snapshot, force_scan=True)
-            result = db._run_read(stmt, params, pushdown, self._snap_executor)
+            result = db._run_read(stmt, params, self._snap_executor)
             db._observe_snapshot_read(snapshot, retried=True)
             return result
 

@@ -275,21 +275,20 @@ class Database:
 
     # -- execution -----------------------------------------------------------------
 
-    def execute(self, sql: str, params: Sequence[Any] = (),
-                pushdown: bool = True) -> Result:
+    def execute(self, sql: str, params: Sequence[Any] = ()) -> Result:
         """Parse (with LRU caching) and execute one statement.
 
-        ``pushdown=False`` disables the cost-aware planner (predicate
-        pushdown, hash joins, range scans, Top-N) and runs the naive
-        nested-loop / filter-at-the-end path — the escape hatch the
-        differential tests compare against.
+        SELECTs always run through the cost-aware planner (predicate
+        pushdown, hash joins, range scans, Top-N); the differential tests
+        check its results against stdlib ``sqlite3`` loaded with the same
+        tables (``tests/sqlite_oracle.py``).
         """
-        return self._execute_on(self._connection(), sql, params, pushdown)
+        return self._execute_on(self._connection(), sql, params)
 
-    def _execute_on(self, conn: Connection, sql: str, params: Sequence[Any],
-                    pushdown: bool) -> Result:
+    def _execute_on(self, conn: Connection, sql: str,
+                    params: Sequence[Any]) -> Result:
         stmt = self._parse_cached(sql)
-        return self._execute_statement_on(conn, stmt, params, sql, pushdown)
+        return self._execute_statement_on(conn, stmt, params, sql)
 
     def _parse_cached(self, sql: str) -> Statement:
         """Statement-cache lookup, thread-safe; parsing runs unlocked."""
@@ -338,20 +337,18 @@ class Database:
 
     def execute_statement(
         self, stmt: Statement, params: Sequence[Any] = (),
-        sql: str | None = None, pushdown: bool = True,
+        sql: str | None = None,
     ) -> Result:
-        return self._execute_statement_on(
-            self._connection(), stmt, params, sql, pushdown
-        )
+        return self._execute_statement_on(self._connection(), stmt, params, sql)
 
     def _execute_statement_on(
         self, conn: Connection, stmt: Statement, params: Sequence[Any],
-        sql: str | None = None, pushdown: bool = True,
+        sql: str | None = None,
     ) -> Result:
         obs = self._obs or get_observability()
         if not obs.enabled:
-            return self._dispatch_statement(conn, stmt, params, sql, pushdown)
-        return self._execute_instrumented(obs, conn, stmt, params, sql, pushdown)
+            return self._dispatch_statement(conn, stmt, params, sql)
+        return self._execute_instrumented(obs, conn, stmt, params, sql)
 
     def _execute_instrumented(
         self,
@@ -360,7 +357,6 @@ class Database:
         stmt: Statement,
         params: Sequence[Any],
         sql: str | None,
-        pushdown: bool = True,
     ) -> Result:
         kind = type(stmt).__name__.removesuffix("Stmt").upper()
         scanned_before = conn.rows_scanned
@@ -370,7 +366,7 @@ class Database:
             "sql.statement", statement=kind, sql=sql or f"<{kind}>"
         ) as span:
             started = perf_counter()
-            result = self._dispatch_statement(conn, stmt, params, sql, pushdown)
+            result = self._dispatch_statement(conn, stmt, params, sql)
             elapsed = perf_counter() - started
         scanned = conn.rows_scanned - scanned_before
         span.set(
@@ -403,10 +399,10 @@ class Database:
 
     def _dispatch_statement(
         self, conn: Connection, stmt: Statement, params: Sequence[Any],
-        sql: str | None, pushdown: bool = True,
+        sql: str | None,
     ) -> Result:
         if isinstance(stmt, (SelectStmt, UnionStmt, ExplainStmt)):
-            return conn._execute_read(stmt, params, pushdown)
+            return conn._execute_read(stmt, params)
         if isinstance(stmt, BeginStmt):
             conn.txns.begin(explicit=True)
             return Result()
@@ -467,19 +463,19 @@ class Database:
         return result
 
     def _run_read(self, stmt: Statement, params: Sequence[Any],
-                  pushdown: bool, executor: Executor) -> Result:
+                  executor: Executor) -> Result:
         """Execute a read statement against the given executor — either a
         connection's live executor or its snapshot executor (the snapshot
         read path runs the *whole* statement, UNION branches included,
         against one snapshot)."""
         if isinstance(stmt, SelectStmt):
-            return self._select_result(stmt, params, pushdown, executor)
+            return self._select_result(stmt, params, executor)
         if isinstance(stmt, UnionStmt):
-            return self._execute_union(stmt, params, pushdown, executor)
+            return self._execute_union(stmt, params, executor)
         assert isinstance(stmt, ExplainStmt)
         if stmt.analyze:
-            return self._execute_explain_analyze(stmt, params, pushdown, executor)
-        result = executor.execute_select(stmt.select, params, optimize=pushdown)
+            return self._execute_explain_analyze(stmt, params, executor)
+        result = executor.execute_select(stmt.select, params)
         return Result(
             ["PLAN"], [(step,) for step in result.plan],
             rowcount=len(result.plan),
@@ -496,28 +492,23 @@ class Database:
         """
         return _TransactionContext(self)
 
-    def explain(self, sql: str, params: Sequence[Any] = (),
-                pushdown: bool = True) -> str:
+    def explain(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Access-path description for a SELECT (tests pin index usage)."""
         from repro.sqldb.planner import explain as render
 
         stmt = parse_sql(sql)
         if not isinstance(stmt, SelectStmt):
             raise SqlSyntaxError("EXPLAIN supports SELECT only")
-        result = self._executor.execute_select(stmt, params, optimize=pushdown)
+        result = self._executor.execute_select(stmt, params)
         return render(result.plan)
 
     def _execute_explain_analyze(self, stmt: ExplainStmt,
                                  params: Sequence[Any],
-                                 pushdown: bool = True,
-                                 executor: Executor | None = None) -> Result:
+                                 executor: Executor) -> Result:
         """EXPLAIN ANALYZE: run the SELECT and annotate every plan step
         with the rows it produced and its measured (cumulative) time."""
-        executor = executor if executor is not None else self._executor
         started = perf_counter()
-        result = executor.execute_select(
-            stmt.select, params, analyze=True, optimize=pushdown
-        )
+        result = executor.execute_select(stmt.select, params, analyze=True)
         total = perf_counter() - started
         rows: list[tuple] = []
         stats = result.step_stats or {}
@@ -889,18 +880,16 @@ class Database:
     # -- SELECT -----------------------------------------------------------------------
 
     def _execute_union(self, stmt: UnionStmt, params: Sequence[Any],
-                       pushdown: bool = True,
-                       executor: Executor | None = None) -> Result:
+                       executor: Executor) -> Result:
         """UNION / UNION ALL over compatible selects.
 
         Column labels come from the first select; every branch must yield
         the same column count.  Plain UNION removes duplicate rows.
         """
-        executor = executor if executor is not None else self._executor
-        first = self._select_result(stmt.selects[0], params, pushdown, executor)
+        first = self._select_result(stmt.selects[0], params, executor)
         rows = list(first.rows)
         for branch in stmt.selects[1:]:
-            branch_result = self._select_result(branch, params, pushdown, executor)
+            branch_result = self._select_result(branch, params, executor)
             if len(branch_result.columns) != len(first.columns):
                 raise SqlSyntaxError(
                     f"UNION branches have {len(first.columns)} and "
@@ -921,8 +910,8 @@ class Database:
         return Result(first.columns, rows, rowcount=len(rows))
 
     def _select_result(self, stmt: SelectStmt, params: Sequence[Any],
-                       pushdown: bool, executor: Executor) -> Result:
-        result = executor.execute_select(stmt, params, optimize=pushdown)
+                       executor: Executor) -> Result:
+        result = executor.execute_select(stmt, params)
         rows = self._decorate_datalinks(result)
         return Result(result.columns, rows, rowcount=len(rows), plan=result.plan)
 

@@ -3,9 +3,9 @@
 The executor materialises joined row *environments* (dicts mapping
 ``ALIAS.COLUMN`` — plus unambiguous bare column names — to values) and
 evaluates expressions against them.  This keeps evaluation uniform between
-WHERE clauses, join conditions, select items, CHECK constraints and the
-operations layer's XUIS ``<condition>`` elements, which reuse the same
-expression engine.
+WHERE clauses, join conditions, select items and CHECK constraints.  (XUIS
+``<condition>`` elements are not among them: ``repro.xuis.model.Condition``
+has its own comparator.)
 
 Planning is cost-aware where it matters for the EASIA workloads:
 
@@ -22,11 +22,10 @@ Planning is cost-aware where it matters for the EASIA workloads:
   subqueries are hashed semi-joins (see :mod:`repro.sqldb.expressions`).
 
 Every operator announces itself in the ``plan`` list (EXPLAIN) and counts
-rows through :class:`_StepStats` under EXPLAIN ANALYZE.  Passing
-``optimize=False`` (the ``pushdown=off`` escape hatch on
-``Database.execute``) disables all of the above and runs the naive
-nested-loop / filter-at-the-end path, which the differential tests compare
-against.
+rows through :class:`_StepStats` under EXPLAIN ANALYZE.  There is one
+execution path; its correctness reference is stdlib ``sqlite3``, which the
+differential tests (``tests/sqlite_oracle.py``) load with the same tables
+and run the same queries against.
 """
 
 from __future__ import annotations
@@ -141,9 +140,6 @@ class Executor:
         #: runs its stored SELECT once, not per reference)
         self._view_cache: dict[str, Any] = {}
         self._depth = 0
-        #: statement-level optimiser switch, set on execute_select entry;
-        #: view materialisation and subquery execution inherit it
-        self._optimize = True
         #: lifetime count of rows examined by scans and lookups (including
         #: view materialisation and subqueries); the database layer
         #: snapshots deltas around each statement for metrics
@@ -161,22 +157,18 @@ class Executor:
 
     def execute_select(
         self, stmt: SelectStmt, params: Sequence[Any] = (),
-        analyze: bool = False, optimize: bool = True,
+        analyze: bool = False,
     ) -> SelectResult:
-        if self._depth == 0:
-            self._optimize = optimize
-        optimize = self._optimize
         self._depth += 1
         try:
-            return self._execute_select(stmt, params, analyze, optimize)
+            return self._execute_select(stmt, params, analyze)
         finally:
             self._depth -= 1
             if self._depth == 0:
                 self._view_cache.clear()
 
     def _execute_select(
-        self, stmt: SelectStmt, params: Sequence[Any],
-        analyze: bool, optimize: bool,
+        self, stmt: SelectStmt, params: Sequence[Any], analyze: bool,
     ) -> SelectResult:
         plan: list[str] = []
         step_stats: dict[int, _StepStats] | None = None
@@ -190,25 +182,18 @@ class Executor:
                 step_stats[len(plan) - 1] = stats
                 return _timed_iter(envs, stats)
 
-        self.bind_subqueries(
-            self._statement_expressions(stmt), params,
-            plan=plan if optimize else None,
-        )
+        self.bind_subqueries(self._statement_expressions(stmt), params, plan)
         bound = self._bind_tables(stmt)
 
         where_conjuncts = conjuncts(stmt.where)
         if bound:
             unambiguous = self._unambiguous_columns(bound)
-            if optimize:
-                stage_filters, residual = assign_filters(
-                    where_conjuncts, [b.alias for b in bound], unambiguous
-                )
-            else:
-                stage_filters = [[] for _ in bound]
-                residual = where_conjuncts
+            stage_filters, residual = assign_filters(
+                where_conjuncts, [b.alias for b in bound], unambiguous
+            )
             envs = self._produce_envs(
                 stmt, bound, unambiguous, params, plan, instrument,
-                optimize, stage_filters,
+                stage_filters,
             )
         else:
             # SELECT without FROM: a single empty environment.
@@ -268,27 +253,22 @@ class Executor:
         offset = stmt.offset or 0
         if stmt.order_by:
             order_key = self._order_key(stmt, items, params)
-            if optimize and stmt.limit is not None:
+            started = perf_counter()
+            if stmt.limit is not None:
                 top = stmt.limit + offset
                 plan.append(
                     f"top-N sort (N={top}) on "
                     f"{len(stmt.order_by)} key(s)"
                 )
-                started = perf_counter()
                 output = nsmallest(top, evaluated, key=order_key)
-                self._record_step(step_stats, plan, len(output),
-                                  perf_counter() - started)
             else:
                 plan.append(f"sort on {len(stmt.order_by)} key(s)")
-                started = perf_counter()
                 output = sorted(evaluated, key=order_key)
-                self._record_step(step_stats, plan, len(output),
-                                  perf_counter() - started)
-            rows = [row for _env, row in output]
-            rows = rows[offset:]
-            if stmt.limit is not None:
-                rows = rows[: stmt.limit]
-        elif optimize and stmt.limit is not None:
+            self._record_step(step_stats, plan, len(output),
+                              perf_counter() - started)
+            # the top-N heap holds at most offset + limit rows
+            rows = [row for _env, row in output][offset:]
+        elif stmt.limit is not None:
             plan.append(f"limit {stmt.limit} (early stop)")
             rows = [
                 row for _env, row in islice(
@@ -297,10 +277,7 @@ class Executor:
             ]
             self._record_step(step_stats, plan, len(rows), 0.0)
         else:
-            rows = [row for _env, row in evaluated]
-            rows = rows[offset:]
-            if stmt.limit is not None:
-                rows = rows[: stmt.limit]
+            rows = [row for _env, row in evaluated][offset:]
 
         alias_tables = {b.alias: b.schema.name for b in bound}
         return SelectResult(
@@ -497,12 +474,11 @@ class Executor:
         params: Sequence[Any],
         plan: list[str],
         instrument: Callable[[Iterator[dict]], Iterator[dict]] | None,
-        optimize: bool,
         stage_filters: list[list[Expression]],
     ) -> Iterator[dict]:
         where_conjuncts = conjuncts(stmt.where)
         equalities = constant_equalities(where_conjuncts, params)
-        ranges = range_bounds(where_conjuncts, params) if optimize else []
+        ranges = range_bounds(where_conjuncts, params)
 
         def env_for(entry: _BoundTable, row: tuple | None) -> dict:
             env: dict[str, Any] = {}
@@ -514,7 +490,7 @@ class Executor:
             return env
 
         first = bound[0]
-        base_rows = self._access_path(first, equalities, ranges, plan, optimize)
+        base_rows = self._access_path(first, equalities, ranges, plan)
         envs: Iterator[dict] = (env_for(first, row) for row in base_rows)
         if instrument is not None:
             envs = instrument(envs)
@@ -526,12 +502,12 @@ class Executor:
             filters = stage_filters[position]
             inner_only: list[Expression] = []
             kind = entry.join_kind or "CROSS"
-            if optimize and filters and kind != "LEFT":
+            if filters and kind != "LEFT":
                 inner_only, filters = single_alias_filters(
                     filters, entry.alias, unambiguous
                 )
             envs = self._join_one(
-                entry, envs, env_for, params, plan, optimize, inner_only
+                entry, envs, env_for, params, plan, inner_only
             )
             if instrument is not None:
                 envs = instrument(envs)
@@ -576,7 +552,6 @@ class Executor:
         equalities: list[tuple[ColumnRef, Any]],
         ranges,
         plan: list[str],
-        optimize: bool,
     ) -> Iterator[tuple]:
         """Choose index point-lookup, range scan or sequential scan for a
         base table.
@@ -618,10 +593,9 @@ class Executor:
                 self.rows_scanned += len(rows)
                 return iter(rows)
 
-        if optimize:
-            scan = self._range_scan(entry, ranges, plan)
-            if scan is not None:
-                return scan
+        scan = self._range_scan(entry, ranges, plan)
+        if scan is not None:
+            return scan
 
         plan.append(f"seq scan {entry.alias} ({len(entry.table)} rows)")
         self.rows_scanned += len(entry.table)
@@ -687,7 +661,6 @@ class Executor:
         env_for,
         params: Sequence[Any],
         plan: list[str],
-        optimize: bool,
         inner_filters: list[Expression],
     ) -> Iterator[dict]:
         kind = entry.join_kind or "CROSS"
@@ -712,7 +685,7 @@ class Executor:
             )
             return self._index_join(entry, outer_envs, env_for, params,
                                     index, key_pair, kind, inner_filters)
-        if optimize and keys:
+        if keys:
             return self._hash_join(entry, outer_envs, env_for, params,
                                    keys, kind, inner_filters, plan)
         return self._loop_join(entry, outer_envs, env_for, params,

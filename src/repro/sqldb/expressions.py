@@ -112,15 +112,13 @@ class Parameter(Expression):
 class ColumnRef(Expression):
     """A (possibly table-qualified) column reference."""
 
-    __slots__ = ("table", "column")
+    __slots__ = ("table", "column", "key")
 
     def __init__(self, column: str, table: str | None = None) -> None:
         self.table = table.upper() if table else None
         self.column = column.upper()
-
-    @property
-    def key(self) -> str:
-        return f"{self.table}.{self.column}" if self.table else self.column
+        #: the environment key; built once, since evaluate() runs per row
+        self.key = f"{self.table}.{self.column}" if self.table else self.column
 
     def evaluate(self, env, params=()) -> Any:
         key = self.key
@@ -310,9 +308,14 @@ def hash_key(value: Any) -> Any:
     return value
 
 
+_NUMBERS = frozenset({int, float})
+
+
 def _comparable(left: Any, right: Any) -> tuple[Any, Any]:
     """Normalise operand pairs so heterogeneous-but-compatible values
     compare the way SQL users expect."""
+    if type(left) in _NUMBERS and type(right) in _NUMBERS:
+        return left, right  # nothing to normalise; the per-row common case
     if isinstance(left, Clob):
         left = left.text
     if isinstance(right, Clob):
@@ -613,12 +616,21 @@ class Between(Expression):
         self.negated = negated
 
     def evaluate(self, env, params=()) -> Any:
+        # value >= low AND value <= high, under three-valued logic: a NULL
+        # bound leaves the result unknown only if the other side holds
         value = self.operand.evaluate(env, params)
         low = self.low.evaluate(env, params)
         high = self.high.evaluate(env, params)
-        if value is None or low is None or high is None:
+        if value is None:
             return None
-        result = _compare(">=", value, low) and _compare("<=", value, high)
+        if (low is not None and not _compare(">=", value, low)) or (
+            high is not None and not _compare("<=", value, high)
+        ):
+            result = False
+        elif low is None or high is None:
+            return None
+        else:
+            result = True
         return (not result) if self.negated else result
 
     def _children(self):

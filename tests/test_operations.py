@@ -1,6 +1,9 @@
 """Tests for the operations framework: sandbox, batch, engine, upload,
 cache, stats, URL services."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import (
@@ -153,6 +156,52 @@ class TestSandbox:
         b = sandbox.make_workdir("sess-1")
         assert a != b
         assert "sess-1" in a
+
+    def test_concurrent_runs_keep_their_own_workdirs(self, tmp_path):
+        """Runs on several threads each chdir into their own workdir; one
+        run must never restore another's (soon deleted) directory."""
+        sandbox = Sandbox(str(tmp_path))
+        source = (
+            "total = 0\n"
+            "for i in range(2000):\n"
+            "    total += i\n"
+            "out = open('who.txt', 'w')\n"
+            "out.write(PARAMS['who'] + ':' + str(total))\n"
+            "out.close()\n"
+        )
+        errors: list[BaseException] = []
+
+        def worker(thread: int) -> None:
+            try:
+                for run in range(30):
+                    who = f"{thread}-{run}"
+                    workdir = sandbox.make_workdir(f"t{thread}")
+                    with open(f"{workdir}/in.dat", "wb") as fh:
+                        fh.write(b"")
+                    result = sandbox.run_source(
+                        source, workdir, "in.dat", {"who": who}
+                    )
+                    assert result.outputs == {
+                        "who.txt": f"{who}:1999000".encode()
+                    }
+                    sandbox.cleanup(workdir)
+            except Exception as exc:  # surfaced to the main thread
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
 
     def test_output_size_limit(self, tmp_path):
         sandbox = Sandbox(str(tmp_path))

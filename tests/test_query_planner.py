@@ -18,10 +18,11 @@ from repro.sqldb.planner import (
     range_bounds,
 )
 from repro.sqldb.parser import parse_sql
+from tests.sqlite_oracle import assert_matches, load
 
 
-def _plan(db: Database, sql: str, params=(), pushdown=True) -> str:
-    return db.explain(sql, params, pushdown=pushdown)
+def _plan(db: Database, sql: str, params=()) -> str:
+    return db.explain(sql, params)
 
 
 @pytest.fixture()
@@ -48,21 +49,10 @@ class TestPushdown:
         # the R-side conjunct runs no later than the R join stage
         assert "R.TAG = 't001'" in plan
 
-    def test_pushdown_off_keeps_naive_plan(self, joined_db):
-        plan = _plan(
-            joined_db,
-            "SELECT L.K FROM L JOIN R ON L.B = R.D WHERE L.B = 3",
-            pushdown=False,
-        )
-        assert "filter pushdown" not in plan
-        assert "hash join" not in plan
-        assert "nested-loop join" in plan
-
     def test_pushdown_filters_same_rows(self, joined_db):
         sql = "SELECT L.K, R.K FROM L JOIN R ON L.K = R.K WHERE R.D > 2 AND L.NAME LIKE 'n0%'"
-        on = joined_db.execute(sql).rows
-        off = joined_db.execute(sql, pushdown=False).rows
-        assert sorted(on) == sorted(off)
+        assert "filter pushdown" in _plan(joined_db, sql)
+        assert assert_matches(joined_db, load(joined_db), sql)
 
     def test_left_join_null_rows_survive_pushdown(self):
         db = Database()
@@ -71,10 +61,7 @@ class TestPushdown:
         db.execute("INSERT INTO P VALUES (1, 10), (2, 20)")
         db.execute("INSERT INTO C VALUES (1, 1)")
         sql = "SELECT P.K, C.K FROM P LEFT JOIN C ON P.K = C.P_K WHERE P.V >= 10"
-        rows = db.execute(sql).rows
-        assert sorted(rows, key=repr) == sorted(
-            db.execute(sql, pushdown=False).rows, key=repr
-        )
+        rows = assert_matches(db, load(db), sql)
         assert (2, None) in rows
 
     def test_obs_counter_counts_filtered_rows(self):
@@ -102,9 +89,8 @@ class TestHashJoin:
 
     def test_hash_join_rows_match_nested_loop(self, joined_db):
         sql = "SELECT L.K, R.K FROM L JOIN R ON L.B = R.D"
-        assert sorted(joined_db.execute(sql).rows) == sorted(
-            joined_db.execute(sql, pushdown=False).rows
-        )
+        assert "hash join" in _plan(joined_db, sql)
+        assert assert_matches(joined_db, load(joined_db), sql)
 
     def test_left_hash_join_null_extends(self):
         db = Database()
@@ -113,19 +99,15 @@ class TestHashJoin:
         db.execute("INSERT INTO A VALUES (1, 1), (2, 2), (3, NULL)")
         db.execute("INSERT INTO B VALUES (10, 1)")
         sql = "SELECT A.K, B.K FROM A LEFT JOIN B ON A.X = B.Y"
-        rows = db.execute(sql).rows
         assert "hash join" in db.explain(sql)
-        assert sorted(rows, key=repr) == sorted(
-            db.execute(sql, pushdown=False).rows, key=repr
-        )
+        rows = assert_matches(db, load(db), sql)
         # NULL join keys never match; they null-extend under LEFT
         assert (3, None) in rows
 
     def test_hash_join_residual_handles_extra_conjuncts(self, joined_db):
         sql = "SELECT L.K, R.K FROM L JOIN R ON L.B = R.D AND L.K < R.K"
-        assert sorted(joined_db.execute(sql).rows) == sorted(
-            joined_db.execute(sql, pushdown=False).rows
-        )
+        assert "hash join" in _plan(joined_db, sql)
+        assert assert_matches(joined_db, load(joined_db), sql)
 
     def test_hash_build_rows_counter(self):
         obs = Observability(enabled=True)
@@ -168,9 +150,7 @@ class TestRangeScan:
     def test_inequalities_drive_range_scan(self, ranged_db, predicate, params):
         sql = f"SELECT K FROM M WHERE {predicate}"
         assert "range scan M via IX_G" in _plan(ranged_db, sql, params)
-        assert sorted(ranged_db.execute(sql, params).rows) == sorted(
-            ranged_db.execute(sql, params, pushdown=False).rows
-        )
+        assert assert_matches(ranged_db, load(ranged_db), sql, params)
 
     def test_like_prefix_drives_range_scan(self, ranged_db):
         sql = "SELECT K FROM M WHERE S LIKE 's000%'"
@@ -181,11 +161,6 @@ class TestRangeScan:
         plan = _plan(ranged_db, "SELECT K FROM M WHERE S LIKE '%42'")
         assert "seq scan" in plan
         assert "range scan" not in plan
-
-    def test_range_scan_disabled_without_pushdown(self, ranged_db):
-        plan = _plan(ranged_db, "SELECT K FROM M WHERE G > 50", pushdown=False)
-        assert "range scan" not in plan
-        assert "seq scan" in plan
 
     def test_merged_bounds(self, ranged_db):
         sql = "SELECT K FROM M WHERE G > ? AND G <= ?"
@@ -211,9 +186,8 @@ class TestTopN:
 
     def test_topn_matches_full_sort(self, joined_db):
         sql = "SELECT K, B FROM L ORDER BY B DESC, K LIMIT 7"
-        assert joined_db.execute(sql).rows == joined_db.execute(
-            sql, pushdown=False
-        ).rows
+        assert "top-N sort" in _plan(joined_db, sql)
+        assert assert_matches(joined_db, load(joined_db), sql)
 
     def test_limit_without_order_stops_early(self, joined_db):
         plan = _plan(joined_db, "SELECT K FROM L LIMIT 3")
@@ -261,9 +235,7 @@ class TestSemiJoins:
 
     def test_in_subquery_rows_match_naive(self, joined_db):
         sql = "SELECT K FROM L WHERE B IN (SELECT D FROM R WHERE K < 5)"
-        assert sorted(joined_db.execute(sql).rows) == sorted(
-            joined_db.execute(sql, pushdown=False).rows
-        )
+        assert assert_matches(joined_db, load(joined_db), sql)
 
     def test_not_in_with_null_returns_nothing(self):
         db = Database()

@@ -180,6 +180,14 @@ class TestInBetween:
     def test_between_null(self):
         assert Between(lit(None), lit(1), lit(2)).evaluate({}) is None
 
+    def test_between_null_bound_is_three_valued(self):
+        # x BETWEEN a AND b means x >= a AND x <= b: a false side decides
+        assert Between(lit(5), lit(None), lit(2)).evaluate({}) is False
+        assert Between(lit(5), lit(9), lit(None)).evaluate({}) is False
+        assert Between(lit(1), lit(None), lit(2)).evaluate({}) is None
+        assert Between(lit(5), lit(None), lit(2), negated=True).evaluate({}) is True
+        assert Between(lit(1), lit(0), lit(None), negated=True).evaluate({}) is None
+
 
 class TestIsNull:
     def test_is_null(self):
