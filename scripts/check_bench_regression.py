@@ -6,8 +6,9 @@ Usage:
     python scripts/check_bench_regression.py --concurrency BENCH_concurrency.json
     python scripts/check_bench_regression.py --replication BENCH_replication.json
 
-Benchmarks whose name contains one of the guarded keywords (point lookups
-and joins — the planner's hot paths) fail the check when their median
+Benchmarks whose name contains one of the guarded keywords (point lookups,
+joins, scans and top-N pagination — the query engine's hot paths) fail
+the check when their median
 exceeds ``max-ratio`` times the baseline median, or when they are in the
 baseline but missing from the current run.  Other benchmarks are
 reported but never fail: absolute CI-runner speed varies, so only the
@@ -34,7 +35,7 @@ import json
 import sys
 
 #: benchmarks whose median regressing past the ratio fails the gate
-GUARDED_KEYWORDS = ("lookup", "join")
+GUARDED_KEYWORDS = ("lookup", "join", "scan", "pagination")
 
 
 def load_medians(path: str) -> dict[str, float]:

@@ -22,7 +22,7 @@ import threading
 from collections import OrderedDict
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import (
     CatalogError,
@@ -60,7 +60,7 @@ from repro.sqldb.connection import (
     ConnectionPool,
     WriterLock,
 )
-from repro.sqldb.expressions import ColumnRef, truthy
+from repro.sqldb.expressions import ColumnRef, Resolver
 from repro.sqldb.schema import TableSchema
 from repro.sqldb.storage import HashIndex, SortedIndex
 from repro.sqldb.types import DatalinkValue
@@ -651,6 +651,7 @@ class Database:
         table = self._writable_table(stmt.table)
         schema = table.schema
         count = 0
+        check = self._check_constraints(schema)
         if stmt.select is not None:
             source = conn.executor.execute_select(stmt.select, params)
             value_rows: list[list[Any]] = [list(row) for row in source.rows]
@@ -671,7 +672,7 @@ class Database:
                 full = list(values)
             validated = schema.validate_row(full)
             self._check_foreign_keys_child(schema, validated)
-            self._check_checks(schema, validated)
+            check(validated)
             for column in schema.datalink_columns:
                 value = validated[schema.column_index(column.name)]
                 if value is not None:
@@ -688,21 +689,25 @@ class Database:
         table = self._writable_table(stmt.table)
         schema = table.schema
         targets = self._matching_rowids(conn, table, stmt.where, params)
+        resolve = self._row_resolver(schema)
+        assignments = [
+            (schema.column_index(column_name), expr.compile(resolve, params))
+            for column_name, expr in stmt.assignments
+        ]
+        check = self._check_constraints(schema)
         count = 0
         for rowid in targets:
             old_row = table.row(rowid)
-            env = self._row_env(schema, old_row)
             new_row = list(old_row)
-            for column_name, expr in stmt.assignments:
-                index = schema.column_index(column_name)
-                new_row[index] = expr.evaluate(env, params)
+            for index, value_of in assignments:
+                new_row[index] = value_of(old_row)
             validated = schema.validate_row(new_row)
             if validated == old_row:
                 count += 1
                 continue
             self._check_foreign_keys_child(schema, validated)
             self._check_foreign_keys_parent_change(schema, old_row, validated)
-            self._check_checks(schema, validated)
+            check(validated)
             for column in schema.datalink_columns:
                 index = schema.column_index(column.name)
                 old_value, new_value = old_row[index], validated[index]
@@ -743,19 +748,16 @@ class Database:
 
     def _matching_rowids(self, conn: Connection, table, where,
                          params: Sequence[Any]) -> list[int]:
-        schema = table.schema
-        if where is not None:
-            # UPDATE/DELETE predicates may contain (uncorrelated) subqueries.
-            conn.executor.bind_subqueries([where], params)
         candidates = self._candidate_rowids(table, where, params)
-        out = []
-        for rowid in candidates:
-            row = table.row(rowid)
-            if where is None or truthy(
-                where.evaluate(self._row_env(schema, row), params)
-            ):
-                out.append(rowid)
-        return out
+        if where is None:
+            return candidates
+        # UPDATE/DELETE predicates may contain (uncorrelated) subqueries.
+        conn.executor.bind_subqueries([where], params)
+        matches = where.compile(self._row_resolver(table.schema), params)
+        return [
+            rowid for rowid in candidates
+            if matches(table.row(rowid)) is True
+        ]
 
     def _candidate_rowids(self, table, where, params: Sequence[Any]) -> list[int]:
         """Use an index point-lookup for ``col = constant`` predicates in
@@ -786,12 +788,14 @@ class Database:
         return [rowid for rowid, _row in table.scan()]
 
     @staticmethod
-    def _row_env(schema: TableSchema, row: tuple) -> dict[str, Any]:
-        env: dict[str, Any] = {}
+    def _row_resolver(schema: TableSchema) -> Resolver:
+        """Resolve ``COL`` and ``TABLE.COL`` to stored-tuple positions, for
+        UPDATE/DELETE predicates, SET expressions and CHECK constraints."""
+        positions: dict[str, int] = {}
         for i, name in enumerate(schema.column_names):
-            env[name] = row[i]
-            env[f"{schema.name}.{name}"] = row[i]
-        return env
+            positions[name] = i
+            positions[f"{schema.name}.{name}"] = i
+        return positions.get
 
     # -- constraint enforcement ---------------------------------------------------
 
@@ -868,14 +872,18 @@ class Database:
                     f"referenced by {child_name}({', '.join(fk.columns)})"
                 )
 
-    def _check_checks(self, schema: TableSchema, row: tuple) -> None:
-        env = self._row_env(schema, row)
-        for check in schema.checks:
-            value = check.evaluate(env, ())
-            if value is False:  # NULL passes, per SQL
-                raise CheckViolation(
-                    f"CHECK constraint failed on {schema.name}"
-                )
+    def _check_constraints(self, schema: TableSchema) -> Callable[[tuple], None]:
+        """The CHECK constraints of ``schema``, compiled once per statement
+        into a function that raises on a violating row (NULL passes)."""
+        checks = [
+            check.compile(self._row_resolver(schema)) for check in schema.checks
+        ]
+
+        def check_row(row: tuple) -> None:
+            if any(check(row) is False for check in checks):
+                raise CheckViolation(f"CHECK constraint failed on {schema.name}")
+
+        return check_row
 
     # -- SELECT -----------------------------------------------------------------------
 

@@ -1,9 +1,11 @@
 """SELECT execution: scans, index lookups, joins, grouping and ordering.
 
-The executor materialises joined row *environments* (dicts mapping
-``ALIAS.COLUMN`` — plus unambiguous bare column names — to values) and
-evaluates expressions against them.  This keeps evaluation uniform between
-WHERE clauses, join conditions, select items and CHECK constraints.  (XUIS
+Rows are tuples.  A base-table row is the stored tuple itself; a joined
+row concatenates each FROM entry's tuple in FROM order, so every column
+sits at a fixed position (:class:`_Layout`).  Each execution compiles its
+filters, join keys, select items, grouping and sort keys once into
+closures over those positions (:meth:`Expression.compile`), so an unknown
+or ambiguous column is an error before any row is read.  (XUIS
 ``<condition>`` elements are not among them: ``repro.xuis.model.Condition``
 has its own comparator.)
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 
 from heapq import nsmallest
 from itertools import islice
+from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
@@ -42,10 +45,10 @@ from repro.sqldb.expressions import (
     ExistsSubquery,
     Expression,
     InSubquery,
+    Resolver,
     Star,
     Subquery,
     hash_key,
-    truthy,
 )
 from repro.sqldb.parser.ast_nodes import Join, SelectItem, SelectStmt, TableRef
 from repro.sqldb.planner import (
@@ -172,87 +175,78 @@ class Executor:
     ) -> SelectResult:
         plan: list[str] = []
         step_stats: dict[int, _StepStats] | None = None
-        instrument: Callable[[Iterator[dict]], Iterator[dict]] | None = None
+        instrument: Callable[[Iterator[tuple]], Iterator[tuple]] | None = None
         if analyze:
             step_stats = {}
 
-            def instrument(envs: Iterator[dict]) -> Iterator[dict]:
+            def instrument(rows: Iterator[tuple]) -> Iterator[tuple]:
                 """Attach a timing probe to the plan entry appended last."""
                 stats = _StepStats()
                 step_stats[len(plan) - 1] = stats
-                return _timed_iter(envs, stats)
+                return _timed_iter(rows, stats)
 
         self.bind_subqueries(self._statement_expressions(stmt), params, plan)
         bound = self._bind_tables(stmt)
+        layout = _Layout(bound)
 
         where_conjuncts = conjuncts(stmt.where)
         if bound:
-            unambiguous = self._unambiguous_columns(bound)
             stage_filters, residual = assign_filters(
-                where_conjuncts, [b.alias for b in bound], unambiguous
+                where_conjuncts, [b.alias for b in bound], layout.unambiguous
             )
-            envs = self._produce_envs(
-                stmt, bound, unambiguous, params, plan, instrument,
-                stage_filters,
+            rows = self._produce_rows(
+                stmt, bound, layout, params, plan, instrument, stage_filters,
             )
         else:
-            # SELECT without FROM: a single empty environment.
-            envs = iter([{}])
+            # SELECT without FROM: a single empty row.
+            rows = iter([()])
             residual = where_conjuncts
             plan.append("no FROM clause: single empty row")
             if instrument is not None:
-                envs = instrument(envs)
+                rows = instrument(rows)
 
+        resolve = layout.resolver(len(bound))
         if residual:
-            envs = (
-                env for env in envs
-                if all(truthy(p.evaluate(env, params)) for p in residual)
-            )
+            keep = _conjunction(residual, resolve, params)
+            rows = (row for row in rows if keep(row) is True)
 
         items = self._expand_items(stmt, bound)
+        # GROUP BY and ORDER BY may name a select-list alias (ORDER BY n
+        # for "COUNT(*) AS n"); those resolve to the aliased expression.
+        alias_exprs = {item.alias: item.expr for item in items if item.alias}
         grouped = bool(stmt.group_by) or any(
             item.expr is not None and item.expr.contains_aggregate()
             for item in items
         ) or (stmt.having is not None and stmt.having.contains_aggregate())
 
         if grouped:
-            # GROUP BY may name a select-list alias, like ORDER BY.
-            alias_exprs = {
-                item.alias: item.expr for item in items if item.alias
-            }
-            group_exprs = []
-            for expr in stmt.group_by:
-                if (
-                    isinstance(expr, ColumnRef)
-                    and expr.table is None
-                    and expr.column in alias_exprs
-                ):
-                    expr = alias_exprs[expr.column]
-                group_exprs.append(expr)
-            envs = self._group(stmt, items, envs, params, group_exprs)
+            rows, resolve = self._group(
+                stmt, items, rows, layout, params,
+                [_unalias(expr, alias_exprs) for expr in stmt.group_by],
+            )
             plan.append(
                 f"hash aggregate on {len(stmt.group_by)} grouping expression(s)"
             )
             if instrument is not None:
-                envs = instrument(envs)
+                rows = instrument(rows)
         elif stmt.having is not None:
             raise SqlSyntaxError("HAVING requires GROUP BY or aggregates")
 
         columns = [self._item_label(item, i) for i, item in enumerate(items)]
-        evaluated: Iterator[tuple[dict, tuple]] = (
-            (env, tuple(item.expr.evaluate(env, params) for item in items))
-            for env in envs
-        )
+        project = _compile_tuple([item.expr for item in items], resolve, params)
 
         if stmt.distinct:
             plan.append("distinct (hash)")
-            evaluated = self._distinct(evaluated)
+            rows = self._distinct(rows, project)
             if instrument is not None:
-                evaluated = _timed_iter(evaluated, self._stats_slot(step_stats, plan))
+                rows = _timed_iter(rows, self._stats_slot(step_stats, plan))
 
+        # Only the rows that survive ORDER BY / LIMIT / OFFSET are projected.
         offset = stmt.offset or 0
         if stmt.order_by:
-            order_key = self._order_key(stmt, items, params)
+            order_key = _compile_order_key(
+                stmt.order_by, alias_exprs, resolve, params
+            )
             started = perf_counter()
             if stmt.limit is not None:
                 top = stmt.limit + offset
@@ -260,28 +254,25 @@ class Executor:
                     f"top-N sort (N={top}) on "
                     f"{len(stmt.order_by)} key(s)"
                 )
-                output = nsmallest(top, evaluated, key=order_key)
+                kept = nsmallest(top, rows, key=order_key)
             else:
                 plan.append(f"sort on {len(stmt.order_by)} key(s)")
-                output = sorted(evaluated, key=order_key)
-            self._record_step(step_stats, plan, len(output),
+                kept = sorted(rows, key=order_key)
+            self._record_step(step_stats, plan, len(kept),
                               perf_counter() - started)
             # the top-N heap holds at most offset + limit rows
-            rows = [row for _env, row in output][offset:]
+            kept = kept[offset:]
         elif stmt.limit is not None:
             plan.append(f"limit {stmt.limit} (early stop)")
-            rows = [
-                row for _env, row in islice(
-                    evaluated, offset, offset + stmt.limit
-                )
-            ]
-            self._record_step(step_stats, plan, len(rows), 0.0)
+            kept = list(islice(rows, offset, offset + stmt.limit))
+            self._record_step(step_stats, plan, len(kept), 0.0)
         else:
-            rows = [row for _env, row in evaluated][offset:]
+            kept = islice(rows, offset, None)
 
         alias_tables = {b.alias: b.schema.name for b in bound}
         return SelectResult(
-            columns, rows, plan, items, alias_tables, step_stats=step_stats
+            columns, [project(row) for row in kept], plan, items,
+            alias_tables, step_stats=step_stats,
         )
 
     # -- result-shaping helpers -------------------------------------------------
@@ -305,44 +296,16 @@ class Executor:
 
     @staticmethod
     def _distinct(
-        evaluated: Iterator[tuple[dict, tuple]]
-    ) -> Iterator[tuple[dict, tuple]]:
-        """Set-based DISTINCT over hashable NULLs-first keys (O(n), not the
-        quadratic list-membership scan)."""
+        rows: Iterator[tuple], project: Callable[[tuple], tuple],
+    ) -> Iterator[tuple]:
+        """Set-based DISTINCT over hashable NULLs-first keys of the
+        projected rows (O(n), not the quadratic list-membership scan)."""
         seen: set[tuple] = set()
-        for env, row in evaluated:
-            key = tuple(_NullsFirstKey((v,)) for v in row)
+        for row in rows:
+            key = tuple(_NullsFirstKey((v,)) for v in project(row))
             if key not in seen:
                 seen.add(key)
-                yield env, row
-
-    def _order_key(self, stmt: SelectStmt, items: list[SelectItem],
-                   params: Sequence[Any]):
-        # ORDER BY may name a select-list alias (ORDER BY n for
-        # "COUNT(*) AS n"); resolve those to the aliased expression.
-        alias_exprs = {item.alias: item.expr for item in items if item.alias}
-        order_exprs = []
-        for order in stmt.order_by:
-            expr = order.expr
-            if (
-                isinstance(expr, ColumnRef)
-                and expr.table is None
-                and expr.column in alias_exprs
-            ):
-                expr = alias_exprs[expr.column]
-            order_exprs.append((expr, order.ascending))
-
-        def order_key(pair):
-            env, _row = pair
-            return tuple(
-                _SortPart(
-                    _NullsFirstKey((expr.evaluate(env, params),)),
-                    ascending,
-                )
-                for expr, ascending in order_exprs
-            )
-
-        return order_key
+                yield row
 
     # -- subquery materialisation ---------------------------------------------
 
@@ -451,51 +414,29 @@ class Executor:
         self._view_cache[name] = table
         return table
 
-    @staticmethod
-    def _unambiguous_columns(bound: list[_BoundTable]) -> dict[str, str]:
-        """Map bare column name -> owning alias when unique across tables."""
-        counts: dict[str, list[str]] = {}
-        for entry in bound:
-            for name in entry.schema.column_names:
-                counts.setdefault(name, []).append(entry.alias)
-        return {
-            name: aliases[0]
-            for name, aliases in counts.items()
-            if len(aliases) == 1
-        }
-
     # -- row production --------------------------------------------------------------
 
-    def _produce_envs(
+    def _produce_rows(
         self,
         stmt: SelectStmt,
         bound: list[_BoundTable],
-        unambiguous: dict[str, str],
+        layout: "_Layout",
         params: Sequence[Any],
         plan: list[str],
-        instrument: Callable[[Iterator[dict]], Iterator[dict]] | None,
+        instrument: Callable[[Iterator[tuple]], Iterator[tuple]] | None,
         stage_filters: list[list[Expression]],
-    ) -> Iterator[dict]:
+    ) -> Iterator[tuple]:
         where_conjuncts = conjuncts(stmt.where)
         equalities = constant_equalities(where_conjuncts, params)
         ranges = range_bounds(where_conjuncts, params)
 
-        def env_for(entry: _BoundTable, row: tuple | None) -> dict:
-            env: dict[str, Any] = {}
-            for i, name in enumerate(entry.schema.column_names):
-                value = None if row is None else row[i]
-                env[f"{entry.alias}.{name}"] = value
-                if unambiguous.get(name) == entry.alias:
-                    env[name] = value
-            return env
-
         first = bound[0]
-        base_rows = self._access_path(first, equalities, ranges, plan)
-        envs: Iterator[dict] = (env_for(first, row) for row in base_rows)
+        rows = self._access_path(first, equalities, ranges, plan)
         if instrument is not None:
-            envs = instrument(envs)
-        envs = self._pushed_filters(
-            envs, stage_filters[0], first.alias, params, plan, instrument
+            rows = instrument(rows)
+        rows = self._pushed_filters(
+            rows, stage_filters[0], first.alias, layout.resolver(1), params,
+            plan, instrument,
         )
 
         for position, entry in enumerate(bound[1:], start=1):
@@ -504,44 +445,47 @@ class Executor:
             kind = entry.join_kind or "CROSS"
             if filters and kind != "LEFT":
                 inner_only, filters = single_alias_filters(
-                    filters, entry.alias, unambiguous
+                    filters, entry.alias, layout.unambiguous
                 )
-            envs = self._join_one(
-                entry, envs, env_for, params, plan, inner_only
+            rows = self._join_one(
+                entry, position, rows, layout, params, plan, inner_only
             )
             if instrument is not None:
-                envs = instrument(envs)
-            envs = self._pushed_filters(
-                envs, filters, entry.alias, params, plan, instrument
+                rows = instrument(rows)
+            rows = self._pushed_filters(
+                rows, filters, entry.alias, layout.resolver(position + 1),
+                params, plan, instrument,
             )
-        return envs
+        return rows
 
     def _pushed_filters(
         self,
-        envs: Iterator[dict],
+        rows: Iterator[tuple],
         filters: list[Expression],
         alias: str,
+        resolve: Resolver,
         params: Sequence[Any],
         plan: list[str],
-        instrument: Callable[[Iterator[dict]], Iterator[dict]] | None,
-    ) -> Iterator[dict]:
+        instrument: Callable[[Iterator[tuple]], Iterator[tuple]] | None,
+    ) -> Iterator[tuple]:
         """Apply pushed-down WHERE conjuncts right after ``alias`` joins the
         pipeline, counting removed rows for the obs layer."""
         if not filters:
-            return envs
+            return rows
         plan.append(
             f"filter pushdown at {alias}: "
             + " AND ".join(describe(f) for f in filters)
         )
+        keep = _conjunction(filters, resolve, params)
 
-        def generate() -> Iterator[dict]:
-            for env in envs:
-                if all(truthy(f.evaluate(env, params)) for f in filters):
-                    yield env
+        def generate() -> Iterator[tuple]:
+            for row in rows:
+                if keep(row) is True:
+                    yield row
                 else:
                     self.pushdown_filtered += 1
 
-        out: Iterator[dict] = generate()
+        out: Iterator[tuple] = generate()
         if instrument is not None:
             out = instrument(out)
         return out
@@ -599,7 +543,7 @@ class Executor:
 
         plan.append(f"seq scan {entry.alias} ({len(entry.table)} rows)")
         self.rows_scanned += len(entry.table)
-        return (row for _rowid, row in entry.table.scan())
+        return map(itemgetter(1), entry.table.scan())
 
     def _range_scan(self, entry: _BoundTable, ranges,
                     plan: list[str]) -> Iterator[tuple] | None:
@@ -657,12 +601,17 @@ class Executor:
     def _join_one(
         self,
         entry: _BoundTable,
-        outer_envs: Iterator[dict],
-        env_for,
+        position: int,
+        outer_rows: Iterator[tuple],
+        layout: "_Layout",
         params: Sequence[Any],
         plan: list[str],
         inner_filters: list[Expression],
-    ) -> Iterator[dict]:
+    ) -> Iterator[tuple]:
+        """Join ``entry`` (the ``position``-th FROM entry) onto the rows of
+        the entries before it.  Inner filters and inner join keys read the
+        entry's own tuple; outer keys read the outer row; the ON condition
+        reads the concatenated row."""
         kind = entry.join_kind or "CROSS"
         keys = join_equalities(entry.join_on, entry.alias) if entry.join_on else []
         index = None
@@ -673,159 +622,42 @@ class Executor:
                 index = candidate
                 key_pair = (outer_ref, inner_ref)
                 break
+        outer = layout.resolver(position)
+        own = layout.own_resolver(position)
+        inner_keep = (
+            _conjunction(inner_filters, own, params) if inner_filters else None
+        )
+        on = (
+            entry.join_on.compile(layout.resolver(position + 1), params)
+            if entry.join_on is not None else None
+        )
+        join = _JoinStep(self, entry, kind, inner_keep, on)
+        filter_desc = " AND ".join(describe(f) for f in inner_filters)
+        inner_desc = f"; inner filter: {filter_desc}" if inner_filters else ""
         if index is not None:
-            filter_desc = (
-                "; inner filter: "
-                + " AND ".join(describe(f) for f in inner_filters)
-                if inner_filters else ""
-            )
             plan.append(
                 f"index nested-loop join {entry.alias} via {index.name}"
-                f"{filter_desc}"
+                f"{inner_desc}"
             )
-            return self._index_join(entry, outer_envs, env_for, params,
-                                    index, key_pair, kind, inner_filters)
+            return join.index_join(
+                outer_rows, index, key_pair[0].compile(outer, params)
+            )
         if keys:
-            return self._hash_join(entry, outer_envs, env_for, params,
-                                   keys, kind, inner_filters, plan)
-        return self._loop_join(entry, outer_envs, env_for, params,
-                               kind, inner_filters, plan)
-
-    def _index_join(self, entry, outer_envs, env_for, params,
-                    index, key_pair, kind,
-                    inner_filters: list[Expression]) -> Iterator[dict]:
-        def generate() -> Iterator[dict]:
-            for outer_env in outer_envs:
-                matched = False
-                outer_ref, _inner_ref = key_pair
-                value = outer_ref.evaluate(outer_env, params)
-                candidates = (
-                    [entry.table.row(rowid)
-                     for rowid in index.find_sorted((value,))]
-                    if value is not None
-                    else []
-                )
-                self.rows_scanned += len(candidates)
-                for row in candidates:
-                    inner_env = env_for(entry, row)
-                    if inner_filters and not all(
-                        truthy(f.evaluate(inner_env, params))
-                        for f in inner_filters
-                    ):
-                        self.pushdown_filtered += 1
-                        continue
-                    env = {**outer_env, **inner_env}
-                    if entry.join_on is not None and not truthy(
-                        entry.join_on.evaluate(env, params)
-                    ):
-                        continue
-                    matched = True
-                    yield env
-                if kind == "LEFT" and not matched:
-                    yield {**outer_env, **env_for(entry, None)}
-
-        return generate()
-
-    def _hash_join(self, entry, outer_envs, env_for, params,
-                   keys, kind, inner_filters, plan) -> Iterator[dict]:
-        """Build a hash table on the inner table, probe with the outer
-        stream.  The full join condition is re-checked on every hash match
-        (residual), so extra non-equality conjuncts and hash-normalisation
-        edge cases cannot produce wrong rows."""
-        inner_refs = [inner for _outer, inner in keys]
-        outer_refs = [outer for outer, _inner in keys]
-
-        def generate() -> Iterator[dict]:
-            build: dict[tuple, list[dict]] = {}
-            built = 0
-            self.rows_scanned += len(entry.table)
-            for _rowid, row in entry.table.scan():
-                inner_env = env_for(entry, row)
-                if inner_filters and not all(
-                    truthy(f.evaluate(inner_env, params))
-                    for f in inner_filters
-                ):
-                    self.pushdown_filtered += 1
-                    continue
-                values = [ref.evaluate(inner_env, params) for ref in inner_refs]
-                if any(v is None for v in values):
-                    continue  # NULL keys never equal anything
-                build.setdefault(
-                    tuple(hash_key(v) for v in values), []
-                ).append(inner_env)
-                built += 1
-            self.hash_build_rows += built
-            for outer_env in outer_envs:
-                matched = False
-                values = [
-                    ref.evaluate(outer_env, params) for ref in outer_refs
-                ]
-                if any(v is None for v in values):
-                    candidates = []
-                else:
-                    candidates = build.get(
-                        tuple(hash_key(v) for v in values), []
-                    )
-                for inner_env in candidates:
-                    env = {**outer_env, **inner_env}
-                    if entry.join_on is not None and not truthy(
-                        entry.join_on.evaluate(env, params)
-                    ):
-                        continue
-                    matched = True
-                    yield env
-                if kind == "LEFT" and not matched:
-                    yield {**outer_env, **env_for(entry, None)}
-
-        key_desc = ", ".join(
-            f"{outer.key} = {inner.key}" for outer, inner in keys
-        )
-        filter_desc = (
-            "; build filter: " + " AND ".join(describe(f) for f in inner_filters)
-            if inner_filters else ""
-        )
+            key_desc = ", ".join(f"{o.key} = {i.key}" for o, i in keys)
+            build_desc = f"; build filter: {filter_desc}" if inner_filters else ""
+            plan.append(
+                f"hash join {entry.alias} on {key_desc} "
+                f"({kind.lower()}{build_desc})"
+            )
+            return join.hash_join(
+                outer_rows,
+                _compile_tuple([o for o, _i in keys], outer, params),
+                _compile_tuple([i for _o, i in keys], own, params),
+            )
         plan.append(
-            f"hash join {entry.alias} on {key_desc} "
-            f"({kind.lower()}{filter_desc})"
+            f"nested-loop join {entry.alias} ({kind.lower()}{inner_desc})"
         )
-        return generate()
-
-    def _loop_join(self, entry, outer_envs, env_for, params,
-                   kind, inner_filters, plan) -> Iterator[dict]:
-        filter_desc = (
-            "; inner filter: " + " AND ".join(describe(f) for f in inner_filters)
-            if inner_filters else ""
-        )
-        plan.append(
-            f"nested-loop join {entry.alias} ({kind.lower()}{filter_desc})"
-        )
-
-        def generate() -> Iterator[dict]:
-            inner_envs: list[dict] = []
-            for _rowid, row in entry.table.scan():
-                inner_env = env_for(entry, row)
-                if inner_filters and not all(
-                    truthy(f.evaluate(inner_env, params))
-                    for f in inner_filters
-                ):
-                    self.pushdown_filtered += 1
-                    continue
-                inner_envs.append(inner_env)
-            for outer_env in outer_envs:
-                matched = False
-                self.rows_scanned += len(inner_envs)
-                for inner_env in inner_envs:
-                    env = {**outer_env, **inner_env}
-                    if entry.join_on is not None and not truthy(
-                        entry.join_on.evaluate(env, params)
-                    ):
-                        continue
-                    matched = True
-                    yield env
-                if kind == "LEFT" and not matched:
-                    yield {**outer_env, **env_for(entry, None)}
-
-        return generate()
+        return join.loop_join(outer_rows)
 
     # -- select list ---------------------------------------------------------------------
 
@@ -865,60 +697,243 @@ class Executor:
         self,
         stmt: SelectStmt,
         items: list[SelectItem],
-        envs: Iterator[dict],
+        rows: Iterator[tuple],
+        layout: "_Layout",
         params: Sequence[Any],
-        group_exprs: list[Expression] | None = None,
-    ) -> Iterator[dict]:
-        if group_exprs is None:
-            group_exprs = list(stmt.group_by)
-        aggregates: list[AggregateCall] = []
-        for item in items:
-            for node in item.expr.walk():
-                if isinstance(node, AggregateCall):
-                    aggregates.append(node)
-        if stmt.having is not None:
-            for node in stmt.having.walk():
-                if isinstance(node, AggregateCall):
-                    aggregates.append(node)
+        group_exprs: list[Expression],
+    ) -> tuple[Iterator[tuple], Resolver]:
+        """Hash aggregation.  A group's output row is its first input row
+        followed by one slot per distinct aggregate; returns those rows and
+        the resolver that maps each :attr:`AggregateCall.key` to its slot."""
         # De-duplicate by key so COUNT(*) appearing twice folds once.
-        unique_aggs: dict[str, AggregateCall] = {}
-        for agg in aggregates:
-            unique_aggs.setdefault(agg.key, agg)
+        aggregates: dict[str, AggregateCall] = {}
+        exprs = [item.expr for item in items] + [o.expr for o in stmt.order_by]
+        for expr in exprs + ([stmt.having] if stmt.having is not None else []):
+            for node in expr.walk():
+                if isinstance(node, AggregateCall):
+                    aggregates.setdefault(node.key, node)
+        aggs = list(aggregates.values())
+        resolve = layout.resolver(len(layout.bound))
+        group_key = _compile_tuple(group_exprs, resolve, params)
+        arguments = [
+            None if isinstance(agg.arg, Star) else agg.arg.compile(resolve, params)
+            for agg in aggs
+        ]
+        width = layout.width
+        grouped = layout.resolver(
+            len(layout.bound),
+            {key: width + slot for slot, key in enumerate(aggregates)},
+        )
+        having = (
+            stmt.having.compile(grouped, params)
+            if stmt.having is not None else None
+        )
 
-        groups: dict[tuple, dict] = {}
-        for env in envs:
-            key_values = tuple(
-                expr.evaluate(env, params) for expr in group_exprs
+        def generate() -> Iterator[tuple]:
+            groups: dict[tuple, tuple[tuple, list[list[Any]]]] = {}
+            for row in rows:
+                key = tuple(_NullsFirstKey((v,)) for v in group_key(row))
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = (row, [[] for _ in aggs])
+                for inputs, argument in zip(group[1], arguments):
+                    if argument is None:
+                        inputs.append(1)
+                    else:
+                        value = argument(row)
+                        if value is not None:
+                            inputs.append(value)
+            if not groups and not stmt.group_by:
+                # Aggregate over an empty input still yields one row.
+                groups[()] = ((None,) * width, [[] for _ in aggs])
+            for first, inputs in groups.values():
+                row = first + tuple(
+                    agg.accumulate(values) for agg, values in zip(aggs, inputs)
+                )
+                if having is None or having(row) is True:
+                    yield row
+
+        return generate(), grouped
+
+
+class _JoinStep:
+    """One join of a FROM entry onto the outer row stream.
+
+    A joined row is ``outer + inner``; a LEFT join's unmatched outer row is
+    extended with one ``None`` per inner column."""
+
+    def __init__(self, executor: Executor, entry: _BoundTable, kind: str,
+                 inner_keep: Callable[[tuple], Any] | None,
+                 on: Callable[[tuple], Any] | None) -> None:
+        self.executor = executor
+        self.table = entry.table
+        self.left = kind == "LEFT"
+        self.nulls = (None,) * len(entry.schema.columns)
+        self.inner_keep = inner_keep
+        self.on = on
+
+    def _kept(self, rows) -> Iterator[tuple]:
+        """The inner ``rows`` that pass the pushed inner filters."""
+        keep = self.inner_keep
+        for row in rows:
+            if keep is None or keep(row) is True:
+                yield row
+            else:
+                self.executor.pushdown_filtered += 1
+
+    def _matches(self, outer: tuple, candidates) -> Iterator[tuple]:
+        on = self.on
+        matched = False
+        for inner in candidates:
+            row = outer + inner
+            if on is not None and on(row) is not True:
+                continue
+            matched = True
+            yield row
+        if self.left and not matched:
+            yield outer + self.nulls
+
+    def index_join(self, outer_rows, index, outer_key) -> Iterator[tuple]:
+        executor, table = self.executor, self.table
+        for outer in outer_rows:
+            value = outer_key(outer)
+            candidates = (
+                [table.row(rowid) for rowid in index.find_sorted((value,))]
+                if value is not None
+                else []
             )
-            key = tuple(_NullsFirstKey((v,)) for v in key_values)
-            group = groups.get(key)
-            if group is None:
-                group = {"env": env, "inputs": {k: [] for k in unique_aggs}}
-                groups[key] = group
-            for agg_key, agg in unique_aggs.items():
-                if isinstance(agg.arg, Star):
-                    group["inputs"][agg_key].append(1)
+            executor.rows_scanned += len(candidates)
+            yield from self._matches(outer, self._kept(candidates))
+
+    def hash_join(self, outer_rows, outer_key, inner_key) -> Iterator[tuple]:
+        """Build a hash table on the inner table, probe with the outer
+        stream.  The full join condition is re-checked on every hash match
+        (residual), so extra non-equality conjuncts and hash-normalisation
+        edge cases cannot produce wrong rows."""
+        executor = self.executor
+        build: dict[tuple, list[tuple]] = {}
+        built = 0
+        executor.rows_scanned += len(self.table)
+        for row in self._kept(row for _rowid, row in self.table.scan()):
+            values = inner_key(row)
+            if None in values:
+                continue  # NULL keys never equal anything
+            build.setdefault(tuple(map(hash_key, values)), []).append(row)
+            built += 1
+        executor.hash_build_rows += built
+        for outer in outer_rows:
+            values = outer_key(outer)
+            candidates = (
+                () if None in values
+                else build.get(tuple(map(hash_key, values)), ())
+            )
+            yield from self._matches(outer, candidates)
+
+    def loop_join(self, outer_rows) -> Iterator[tuple]:
+        inner_rows = list(
+            self._kept(row for _rowid, row in self.table.scan())
+        )
+        for outer in outer_rows:
+            self.executor.rows_scanned += len(inner_rows)
+            yield from self._matches(outer, inner_rows)
+
+
+class _Layout:
+    """Tuple positions of the rows a SELECT produces.
+
+    A joined row is the concatenation of each FROM entry's stored tuple, in
+    FROM order.  ``ALIAS.COL`` names a position once ``ALIAS`` has joined;
+    a bare ``COL`` does when exactly one FROM entry has that column.
+    """
+
+    def __init__(self, bound: list[_BoundTable]) -> None:
+        self.bound = bound
+        #: bare column name -> owning alias, when unique across FROM entries
+        self.unambiguous: dict[str, str] = {}
+        self._ambiguous: set[str] = set()
+        self.width = 0
+        for entry in bound:
+            for column in entry.schema.columns:
+                name = column.name
+                if name in self.unambiguous or name in self._ambiguous:
+                    self.unambiguous.pop(name, None)
+                    self._ambiguous.add(name)
                 else:
-                    value = agg.arg.evaluate(env, params)
-                    if value is not None:
-                        group["inputs"][agg_key].append(value)
+                    self.unambiguous[name] = entry.alias
+            self.width += len(entry.schema.columns)
 
-        if not groups and not stmt.group_by:
-            # Aggregate over an empty input still yields one row.
-            groups[()] = {"env": {}, "inputs": {k: [] for k in unique_aggs}}
+    def resolver(self, stage: int, extra: dict[str, int] | None = None) -> Resolver:
+        """Resolve names in rows of the first ``stage`` FROM entries (plus
+        ``extra`` positions, e.g. aggregate slots)."""
+        return self._resolver(self.bound[:stage], extra or {})
 
-        def generate() -> Iterator[dict]:
-            for group in groups.values():
-                env = dict(group["env"])
-                for agg_key, agg in unique_aggs.items():
-                    env[agg_key] = agg.accumulate(group["inputs"][agg_key])
-                if stmt.having is not None and not truthy(
-                    stmt.having.evaluate(env, params)
-                ):
-                    continue
-                yield env
+    def own_resolver(self, position: int) -> Resolver:
+        """Resolve names in the bare tuple of FROM entry ``position``."""
+        return self._resolver([self.bound[position]], {})
 
-        return generate()
+    def _resolver(self, entries: Sequence[_BoundTable],
+                  extra: dict[str, int]) -> Resolver:
+        #: alias -> (column name -> index in its tuple, offset of the tuple)
+        offsets: dict[str, tuple[dict[str, int], int]] = {}
+        offset = 0
+        for entry in entries:
+            offsets[entry.alias] = (entry.schema._by_name, offset)
+            offset += len(entry.schema.columns)
+        unambiguous, ambiguous = self.unambiguous, self._ambiguous
+
+        def resolve(key: str) -> int | None:
+            if key in extra:
+                return extra[key]
+            alias, _dot, name = key.rpartition(".")
+            if not alias:
+                if name in ambiguous:
+                    raise CatalogError(f"ambiguous column {name}")
+                alias = unambiguous.get(name)
+            if alias not in offsets:
+                return None
+            by_name, start = offsets[alias]
+            index = by_name.get(name)
+            return None if index is None else start + index
+
+        return resolve
+
+
+def _unalias(expr: Expression, alias_exprs: dict[str, Expression]) -> Expression:
+    """A bare name that is a select-list alias stands for its expression."""
+    if isinstance(expr, ColumnRef) and expr.table is None:
+        return alias_exprs.get(expr.column, expr)
+    return expr
+
+
+def _compile_tuple(exprs: Sequence[Expression], resolve: Resolver,
+                   params: Sequence[Any]) -> Callable[[tuple], tuple]:
+    if len(exprs) > 1 and all(type(expr) is ColumnRef for expr in exprs):
+        # plain columns (SELECT *, QBE field lists): one C-level getter
+        return itemgetter(*[expr.position(resolve) for expr in exprs])
+    compiled = [expr.compile(resolve, params) for expr in exprs]
+    return lambda row: tuple([fn(row) for fn in compiled])
+
+
+def _conjunction(predicates: Sequence[Expression], resolve: Resolver,
+                 params: Sequence[Any]) -> Callable[[tuple], Any]:
+    """One compiled predicate over WHERE conjuncts.  Under WHERE semantics
+    a row passes only when it returns ``True`` (not NULL, not FALSE)."""
+    compiled = [predicate.compile(resolve, params) for predicate in predicates]
+    if len(compiled) == 1:
+        return compiled[0]
+    return lambda row: all(fn(row) is True for fn in compiled)
+
+
+def _compile_order_key(orders, alias_exprs: dict[str, Expression],
+                       resolve: Resolver, params: Sequence[Any]):
+    values = _compile_tuple(
+        [_unalias(order.expr, alias_exprs) for order in orders], resolve, params
+    )
+    directions = [order.ascending for order in orders]
+    return lambda row: tuple([
+        _SortPart(_NullsFirstKey((value,)), ascending)
+        for value, ascending in zip(values(row), directions)
+    ])
 
 
 class _SortPart:
@@ -938,9 +953,3 @@ class _SortPart:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _SortPart) and self.key == other.key
-
-
-def unqualified_is_ambiguous(entry: _BoundTable, column: str) -> bool:
-    """Used by the access-path chooser: a bare column in WHERE can only
-    drive an index on ``entry`` when it belongs to that table."""
-    return not entry.schema.has_column(column)

@@ -5,12 +5,21 @@ SELECT items and join conditions.  Evaluation follows SQL semantics:
 ``NULL`` propagates through comparisons and arithmetic, ``AND``/``OR`` use
 Kleene logic, and a WHERE clause keeps a row only when the predicate is
 *true* (not merely non-false).
+
+Each node *compiles* into a closure over row tuples:
+``node.compile(resolve, params)`` resolves every column reference to a
+tuple position once (``resolve`` maps ``ALIAS.COL`` / ``COL`` keys to
+positions, or ``None`` when the name is not in scope), folds literals,
+parameters and materialised subqueries into constants, and returns a
+function ``row -> value`` that the executor calls per row.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import operator
 import re
+from functools import lru_cache, partial
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.errors import CatalogError, SqlSyntaxError, TypeMismatchError
@@ -37,11 +46,24 @@ __all__ = [
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
+#: maps a column key (``ALIAS.COL`` or bare ``COL``) or an aggregate key
+#: to its position in the row tuple; ``None`` when it is not in scope
+Resolver = Callable[[str], "int | None"]
+#: a compiled expression: row tuple -> value
+Compiled = Callable[[tuple], Any]
+
+
 class Expression:
     """Base class for AST nodes."""
 
-    def evaluate(self, env: Mapping[str, Any], params: Sequence[Any] = ()) -> Any:
+    def compile(self, resolve: Resolver, params: Sequence[Any] = ()) -> Compiled:
         raise NotImplementedError
+
+    def evaluate(self, env: Mapping[str, Any], params: Sequence[Any] = ()) -> Any:
+        """Evaluate once against a name -> value mapping (constant folding
+        with ``{}``, INSERT VALUES); per-row callers compile instead."""
+        positions = {key: i for i, key in enumerate(env)}
+        return self.compile(positions.get, params)(tuple(env.values()))
 
     def column_refs(self) -> list["ColumnRef"]:
         """All column references in this subtree (planner uses this)."""
@@ -78,8 +100,9 @@ class Literal(Expression):
     def __init__(self, value: Any) -> None:
         self.value = value
 
-    def evaluate(self, env, params=()) -> Any:
-        return self.value
+    def compile(self, resolve, params=()) -> Compiled:
+        value = self.value
+        return lambda row: value
 
     def __repr__(self) -> str:
         return f"Literal({self.value!r})"
@@ -96,14 +119,15 @@ class Parameter(Expression):
     def __init__(self, index: int) -> None:
         self.index = index
 
-    def evaluate(self, env, params=()) -> Any:
+    def compile(self, resolve, params=()) -> Compiled:
         try:
-            return params[self.index]
+            value = params[self.index]
         except IndexError:
             raise SqlSyntaxError(
                 f"statement has parameter ?{self.index + 1} but only "
                 f"{len(params)} parameter value(s) were supplied"
             ) from None
+        return lambda row: value
 
     def __repr__(self) -> str:
         return f"Parameter({self.index})"
@@ -117,17 +141,22 @@ class ColumnRef(Expression):
     def __init__(self, column: str, table: str | None = None) -> None:
         self.table = table.upper() if table else None
         self.column = column.upper()
-        #: the environment key; built once, since evaluate() runs per row
+        #: the name a resolver maps to a tuple position
         self.key = f"{self.table}.{self.column}" if self.table else self.column
 
-    def evaluate(self, env, params=()) -> Any:
-        key = self.key
-        if key in env:
-            return env[key]
-        # No silent fallback from qualified to bare names: a qualifier that
-        # does not resolve is an error (this is what surfaces correlated
-        # subqueries, which are unsupported, instead of mis-binding them).
-        raise CatalogError(f"unknown column {key}")
+    def position(self, resolve: Resolver) -> int:
+        """This column's position in the rows ``resolve`` describes."""
+        position = resolve(self.key)
+        if position is None:
+            # No silent fallback from qualified to bare names: a qualifier
+            # that does not resolve is an error (this is what surfaces
+            # correlated subqueries, which are unsupported, instead of
+            # mis-binding them).
+            raise CatalogError(f"unknown column {self.key}")
+        return position
+
+    def compile(self, resolve, params=()) -> Compiled:
+        return operator.itemgetter(self.position(resolve))
 
     def _collect_refs(self, out: list["ColumnRef"]) -> None:
         out.append(self)
@@ -149,11 +178,16 @@ class ColumnRef(Expression):
 class Star(Expression):
     """``*`` in a select list or ``COUNT(*)``."""
 
-    def evaluate(self, env, params=()) -> Any:
+    def compile(self, resolve, params=()) -> Compiled:
         raise SqlSyntaxError("'*' cannot be evaluated as a scalar")
 
     def __repr__(self) -> str:
         return "Star()"
+
+
+def _check_bound(node) -> None:
+    if not node._bound:
+        raise SqlSyntaxError("subquery was not materialised before evaluation")
 
 
 class Subquery(Expression):
@@ -181,10 +215,10 @@ class Subquery(Expression):
         self._value = rows[0][0] if rows else None
         self._bound = True
 
-    def evaluate(self, env, params=()) -> Any:
-        if not self._bound:
-            raise SqlSyntaxError("subquery was not materialised before evaluation")
-        return self._value
+    def compile(self, resolve, params=()) -> Compiled:
+        _check_bound(self)
+        value = self._value
+        return lambda row: value
 
     def __repr__(self) -> str:
         return "Subquery(...)"
@@ -206,10 +240,10 @@ class ExistsSubquery(Expression):
         self._nonempty = bool(rows)
         self._bound = True
 
-    def evaluate(self, env, params=()) -> Any:
-        if not self._bound:
-            raise SqlSyntaxError("subquery was not materialised before evaluation")
-        return (not self._nonempty) if self.negated else self._nonempty
+    def compile(self, resolve, params=()) -> Compiled:
+        _check_bound(self)
+        value = (not self._nonempty) if self.negated else self._nonempty
+        return lambda row: value
 
 
 class InSubquery(Expression):
@@ -255,27 +289,28 @@ class InSubquery(Expression):
                 break
         self._bound = True
 
-    def evaluate(self, env, params=()) -> Any:
-        if not self._bound:
-            raise SqlSyntaxError("subquery was not materialised before evaluation")
-        value = self.operand.evaluate(env, params)
-        if value is None:
-            return None
-        if self._hashed is not None and isinstance(value, self._hash_family):
-            matched = hash_key(value) in self._hashed
-        else:
-            matched = False
-            for candidate in self._values:
-                if candidate is None:
-                    continue
-                if _compare("=", value, candidate):
-                    matched = True
-                    break
-        if matched:
-            return False if self.negated else True
-        if self._saw_null:
-            return None
-        return True if self.negated else False
+    def compile(self, resolve, params=()) -> Compiled:
+        _check_bound(self)
+        operand = self.operand.compile(resolve, params)
+        hashed, family, values = self._hashed, self._hash_family, self._values
+        negated, saw_null = self.negated, self._saw_null
+
+        def evaluate(row):
+            value = operand(row)
+            if value is None:
+                return None
+            if hashed is not None and isinstance(value, family):
+                matched = hash_key(value) in hashed
+            else:
+                matched = any(
+                    candidate is not None and _compare("=", value, candidate)
+                    for candidate in values
+                )
+            if matched:
+                return not negated
+            return None if saw_null else negated
+
+        return evaluate
 
     def _children(self):
         return [self.operand]
@@ -380,26 +415,23 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     raise SqlSyntaxError(f"unknown arithmetic operator {op}")
 
 
+_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
+
+
 def _compare(op: str, left: Any, right: Any) -> bool:
+    compare = _COMPARISONS.get(op)
+    if compare is None:
+        raise SqlSyntaxError(f"unknown comparison operator {op}")
     left, right = _comparable(left, right)
     try:
-        if op == "=":
-            return left == right
-        if op in ("<>", "!="):
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        if op == ">=":
-            return left >= right
+        return compare(left, right)
     except TypeError:
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}"
         ) from None
-    raise SqlSyntaxError(f"unknown comparison operator {op}")
 
 
 class BinaryOp(Expression):
@@ -412,38 +444,44 @@ class BinaryOp(Expression):
         self.left = left
         self.right = right
 
-    def evaluate(self, env, params=()) -> Any:
+    def compile(self, resolve, params=()) -> Compiled:
         op = self.op
-        if op == "AND":
-            left = self.left.evaluate(env, params)
-            if left is False:
-                return False
-            right = self.right.evaluate(env, params)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if op == "OR":
-            left = self.left.evaluate(env, params)
-            if left is True:
-                return True
-            right = self.right.evaluate(env, params)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
+        left = self.left.compile(resolve, params)
+        right = self.right.compile(resolve, params)
+        if op in ("AND", "OR"):
+            # Kleene logic: the left operand can decide alone
+            decisive = op == "OR"
 
-        left = self.left.evaluate(env, params)
-        right = self.right.evaluate(env, params)
-        if left is None or right is None:
-            return None
+            def logical(row):
+                lhs = left(row)
+                if lhs is decisive:
+                    return decisive
+                rhs = right(row)
+                if rhs is decisive:
+                    return decisive
+                if lhs is None or rhs is None:
+                    return None
+                return not decisive
+
+            return logical
         if op == "||":
-            return _stringify(left) + _stringify(right)
-        if op in ("+", "-", "*", "/", "%"):
-            return _arith(op, left, right)
-        return _compare(op, left, right)
+            combine = lambda lhs, rhs: _stringify(lhs) + _stringify(rhs)
+        elif op in ("+", "-", "*", "/", "%"):
+            combine = partial(_arith, op)
+        else:
+            combine = partial(_compare, op)
+        compare = _COMPARISONS.get(op)
+
+        def binary(row):
+            lhs = left(row)
+            rhs = right(row)
+            if lhs is None or rhs is None:
+                return None
+            if compare and type(lhs) in _NUMBERS and type(rhs) in _NUMBERS:
+                return compare(lhs, rhs)  # nothing to normalise
+            return combine(lhs, rhs)
+
+        return binary
 
     def _children(self):
         return [self.left, self.right]
@@ -475,19 +513,22 @@ class UnaryOp(Expression):
         self.op = op.upper()
         self.operand = operand
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
+    def compile(self, resolve, params=()) -> Compiled:
+        operand = self.operand.compile(resolve, params)
         if self.op == "NOT":
-            if value is None:
-                return None
-            return not value
-        if value is None:
-            return None
-        if self.op == "-":
-            return -_numeric(value, "-")
-        if self.op == "+":
-            return _numeric(value, "+")
-        raise SqlSyntaxError(f"unknown unary operator {self.op}")
+            apply = operator.not_
+        elif self.op == "-":
+            apply = lambda value: -_numeric(value, "-")
+        elif self.op == "+":
+            apply = lambda value: _numeric(value, "+")
+        else:
+            raise SqlSyntaxError(f"unknown unary operator {self.op}")
+
+        def unary(row):
+            value = operand(row)
+            return None if value is None else apply(value)
+
+        return unary
 
     def _children(self):
         return [self.operand]
@@ -508,10 +549,11 @@ class IsNull(Expression):
         self.operand = operand
         self.negated = negated
 
-    def evaluate(self, env, params=()) -> bool:
-        value = self.operand.evaluate(env, params)
-        result = value is None
-        return (not result) if self.negated else result
+    def compile(self, resolve, params=()) -> Compiled:
+        operand = self.operand.compile(resolve, params)
+        if self.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
 
     def _children(self):
         return [self.operand]
@@ -534,8 +576,10 @@ class Like(Expression):
         self.negated = negated
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def compile_pattern(pattern: str) -> re.Pattern:
-        """Translate an SQL LIKE pattern into an anchored regex."""
+        """Translate an SQL LIKE pattern into an anchored regex (memoised:
+        XUIS conditions and column-valued patterns ask per row)."""
         out = []
         for ch in pattern:
             if ch == "%":
@@ -546,14 +590,27 @@ class Like(Expression):
                 out.append(re.escape(ch))
         return re.compile("".join(out) + r"\Z", re.DOTALL)
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
-        pattern = self.pattern.evaluate(env, params)
-        if value is None or pattern is None:
-            return None
-        value = _stringify(value).rstrip()
-        result = bool(self.compile_pattern(_stringify(pattern)).match(value))
-        return (not result) if self.negated else result
+    def compile(self, resolve, params=()) -> Compiled:
+        operand = self.operand.compile(resolve, params)
+        pattern = self.pattern.compile(resolve, params)
+        negated = self.negated
+        to_regex = lambda text: (
+            None if text is None else Like.compile_pattern(_stringify(text))
+        )
+        if isinstance(self.pattern, (Literal, Parameter)):
+            regex = to_regex(pattern(()))  # once for the whole statement
+            regex_of = lambda row: regex
+        else:
+            regex_of = lambda row: to_regex(pattern(row))
+
+        def like(row):
+            value = operand(row)
+            regex = regex_of(row)
+            if value is None or regex is None:
+                return None
+            return (regex.match(_stringify(value).rstrip()) is None) is negated
+
+        return like
 
     def _children(self):
         return [self.operand, self.pattern]
@@ -573,21 +630,25 @@ class InList(Expression):
         self.items = list(items)
         self.negated = negated
 
-    def evaluate(self, env, params=()) -> Any:
-        value = self.operand.evaluate(env, params)
-        if value is None:
-            return None
-        saw_null = False
-        for item in self.items:
-            candidate = item.evaluate(env, params)
-            if candidate is None:
-                saw_null = True
-                continue
-            if _compare("=", value, candidate):
-                return False if self.negated else True
-        if saw_null:
-            return None
-        return True if self.negated else False
+    def compile(self, resolve, params=()) -> Compiled:
+        operand = self.operand.compile(resolve, params)
+        items = [item.compile(resolve, params) for item in self.items]
+        negated = self.negated
+
+        def in_list(row):
+            value = operand(row)
+            if value is None:
+                return None
+            saw_null = False
+            for item in items:
+                candidate = item(row)
+                if candidate is None:
+                    saw_null = True
+                elif _compare("=", value, candidate):
+                    return not negated
+            return None if saw_null else negated
+
+        return in_list
 
     def _children(self):
         return [self.operand, *self.items]
@@ -615,23 +676,29 @@ class Between(Expression):
         self.high = high
         self.negated = negated
 
-    def evaluate(self, env, params=()) -> Any:
-        # value >= low AND value <= high, under three-valued logic: a NULL
-        # bound leaves the result unknown only if the other side holds
-        value = self.operand.evaluate(env, params)
-        low = self.low.evaluate(env, params)
-        high = self.high.evaluate(env, params)
-        if value is None:
-            return None
-        if (low is not None and not _compare(">=", value, low)) or (
-            high is not None and not _compare("<=", value, high)
-        ):
-            result = False
-        elif low is None or high is None:
-            return None
-        else:
-            result = True
-        return (not result) if self.negated else result
+    def compile(self, resolve, params=()) -> Compiled:
+        operand = self.operand.compile(resolve, params)
+        low_of = self.low.compile(resolve, params)
+        high_of = self.high.compile(resolve, params)
+        negated = self.negated
+
+        def between(row):
+            # value >= low AND value <= high, under three-valued logic: a
+            # NULL bound leaves the result unknown only if the other holds
+            value = operand(row)
+            low = low_of(row)
+            high = high_of(row)
+            if value is None:
+                return None
+            if (low is not None and not _compare(">=", value, low)) or (
+                high is not None and not _compare("<=", value, high)
+            ):
+                return negated
+            if low is None or high is None:
+                return None
+            return not negated
+
+        return between
 
     def _children(self):
         return [self.operand, self.low, self.high]
@@ -699,13 +766,20 @@ class CaseExpression(Expression):
         self.branches = list(branches)
         self.default = default
 
-    def evaluate(self, env, params=()) -> Any:
-        for condition, value in self.branches:
-            if truthy(condition.evaluate(env, params)):
-                return value.evaluate(env, params)
-        if self.default is not None:
-            return self.default.evaluate(env, params)
-        return None
+    def compile(self, resolve, params=()) -> Compiled:
+        branches = [
+            (condition.compile(resolve, params), value.compile(resolve, params))
+            for condition, value in self.branches
+        ]
+        default = (self.default or Literal(None)).compile(resolve, params)
+
+        def case(row):
+            for condition, value in branches:
+                if condition(row) is True:
+                    return value(row)
+            return default(row)
+
+        return case
 
     def _children(self):
         out: list[Expression] = []
@@ -734,20 +808,24 @@ class FunctionCall(Expression):
         self.name = name.upper()
         self.args = list(args)
 
-    def evaluate(self, env, params=()) -> Any:
-        if self.name == "COALESCE":
-            for arg in self.args:
-                value = arg.evaluate(env, params)
-                if value is not None:
-                    return value
-            return None
+    def compile(self, resolve, params=()) -> Compiled:
+        args = [arg.compile(resolve, params) for arg in self.args]
+        if self.name == "COALESCE":  # lazily: the first non-NULL wins
+            return lambda row: next(
+                (v for v in (arg(row) for arg in args) if v is not None), None
+            )
         fn = _SCALAR_FUNCTIONS.get(self.name)
-        if fn is None:
-            raise SqlSyntaxError(f"unknown function {self.name}")
-        values = [arg.evaluate(env, params) for arg in self.args]
-        if any(v is None for v in values):
-            return None
-        return fn(values)
+        name = self.name
+
+        def call(row):
+            if fn is None:
+                raise SqlSyntaxError(f"unknown function {name}")
+            values = [arg(row) for arg in args]
+            if any(v is None for v in values):
+                return None
+            return fn(values)
+
+        return call
 
     def _children(self):
         return list(self.args)
@@ -763,9 +841,9 @@ class FunctionCall(Expression):
 class AggregateCall(Expression):
     """Aggregate function reference: COUNT/SUM/AVG/MIN/MAX.
 
-    During grouped execution the executor pre-computes each aggregate and
-    binds its value into the row environment under :attr:`key`; evaluation
-    here simply reads that binding.
+    Grouped execution folds each aggregate over its group and appends
+    the result to the group's output row, in the slot the executor's
+    resolver maps :attr:`key` to; the compiled aggregate reads that slot.
     """
 
     __slots__ = ("name", "arg", "distinct")
@@ -783,12 +861,13 @@ class AggregateCall(Expression):
         distinct = "DISTINCT " if self.distinct else ""
         return f"$agg:{self.name}({distinct}{arg})"
 
-    def evaluate(self, env, params=()) -> Any:
-        if self.key in env:
-            return env[self.key]
-        raise SqlSyntaxError(
-            f"aggregate {self.name} used outside a grouped query"
-        )
+    def compile(self, resolve, params=()) -> Compiled:
+        position = resolve(self.key)
+        if position is None:
+            raise SqlSyntaxError(
+                f"aggregate {self.name} used outside a grouped query"
+            )
+        return operator.itemgetter(position)
 
     def accumulate(self, values: list[Any]) -> Any:
         """Fold non-NULL input ``values`` into the aggregate result."""

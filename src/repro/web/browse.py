@@ -34,11 +34,16 @@ def _q(value: Any) -> str:
 
 
 class CellRenderer:
-    """Turns raw column values into the hyperlinked HTML cells."""
+    """Turns raw column values into the hyperlinked HTML cells.
+
+    One renderer serves one result table, so it memoises foreign-key
+    substitutes: a page of N rows over K distinct keys runs K lookups."""
 
     def __init__(self, db: Database, document: XuisDocument) -> None:
         self._db = db
         self._document = document
+        #: (FK colid, value) -> substitute display value
+        self._substitutes: dict[tuple[str, Any], Any] = {}
 
     def render(self, table: XuisTable, column: XuisColumn, value: Any,
                row: dict[str, Any]) -> str:
@@ -96,13 +101,15 @@ class CellRenderer:
 
     def _lookup_substitute(self, column: XuisColumn, value: Any) -> Any:
         """Fetch the substitute display value from the referenced table."""
-        ref_table, ref_column = parse_colid(column.fk.tablecolumn)
-        _t, subst_column = parse_colid(column.fk.substcolumn)
-        result = self._db.execute(
-            f"SELECT {subst_column} FROM {ref_table} WHERE {ref_column} = ?",
-            (value,),
-        )
-        return result.scalar()
+        key = (column.colid, value)
+        if key not in self._substitutes:
+            ref_table, ref_column = parse_colid(column.fk.tablecolumn)
+            _t, subst_column = parse_colid(column.fk.substcolumn)
+            self._substitutes[key] = self._db.execute(
+                f"SELECT {subst_column} FROM {ref_table} WHERE {ref_column} = ?",
+                (value,),
+            ).scalar()
+        return self._substitutes[key]
 
     # -- primary keys ----------------------------------------------------------------
 

@@ -10,8 +10,11 @@ predicates, DISTINCT, ORDER BY/LIMIT/OFFSET, grouping and subqueries.
 
 from __future__ import annotations
 
+import sqlite3
+
 import pytest
 
+from repro.errors import CatalogError
 from repro.sqldb.database import Database
 from tests.sqlite_oracle import assert_matches, load
 
@@ -223,3 +226,34 @@ def test_corpus_is_large_enough():
 def test_planner_matches_naive_path(db, oracle, sql, params):
     # named for the reference it once had; kept so test IDs stay stable
     assert_matches(db, oracle, sql, params)
+
+
+#: statements naming a column that is unknown or ambiguous (bare A is in
+#: both E and F)
+BAD_COLUMN_QUERIES = [
+    "SELECT NOPE FROM E",
+    "SELECT X.A FROM E",
+    "SELECT A FROM E WHERE NOPE = 1",
+    "SELECT A FROM E JOIN F ON E.A = F.A",
+    "SELECT B FROM E ORDER BY NOPE",
+    "SELECT COUNT(*) FROM E GROUP BY NOPE",
+    "SELECT E.B FROM E LEFT JOIN F ON E.A = F.NOPE",
+    "UPDATE E SET B = NOPE",
+    "DELETE FROM E WHERE NOPE = 1",
+]
+
+
+@pytest.mark.parametrize("filled", [False, True], ids=["empty", "filled"])
+@pytest.mark.parametrize("sql", BAD_COLUMN_QUERIES)
+def test_bad_column_raises_whatever_the_data(sql, filled):
+    # names resolve when the statement compiles, not when a row is read
+    db = Database()
+    db.execute("CREATE TABLE E (A INTEGER PRIMARY KEY, B INTEGER)")
+    db.execute("CREATE TABLE F (A INTEGER PRIMARY KEY, C INTEGER)")
+    if filled:
+        db.execute("INSERT INTO E VALUES (1, 10)")
+        db.execute("INSERT INTO F VALUES (1, 20)")
+    with pytest.raises(sqlite3.OperationalError):
+        load(db).execute(sql)
+    with pytest.raises(CatalogError):
+        db.execute(sql)

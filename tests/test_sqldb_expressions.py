@@ -159,6 +159,23 @@ class TestLike:
     def test_negated(self):
         assert Like(lit("abc"), lit("z%"), negated=True).evaluate({}) is True
 
+    def test_compile_pattern_is_memoised_and_bounded(self):
+        Like.compile_pattern.cache_clear()
+        first = Like.compile_pattern("ab%")
+        assert Like.compile_pattern("ab%") is first
+        info = Like.compile_pattern.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert info.maxsize is not None
+
+    def test_column_valued_pattern(self):
+        # a pattern read from the row is compiled per distinct pattern
+        like = Like(ColumnRef("v"), ColumnRef("p")).compile(
+            {"V": 0, "P": 1}.get
+        )
+        assert like(("abc", "a%")) is True
+        assert like(("abc", "b%")) is False
+        assert like(("abc", None)) is None
+
 
 class TestInBetween:
     def test_in_hit_and_miss(self):

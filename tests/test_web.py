@@ -386,6 +386,34 @@ class TestAppBrowsing:
         assert "bytes</a>" in response.text
         assert ";ts0000.turb" in response.text  # tokenized URL form
 
+    def test_fk_substitute_looked_up_once_per_key(self, tmp_path, monkeypatch):
+        # 9 simulations over 4 authors: the page runs one AUTHOR lookup per
+        # distinct AUTHOR_KEY, not one per row
+        archive = build_turbulence_archive(n_simulations=9, timesteps=1, grid=4)
+        app = EasiaApp(
+            archive.db, archive.linker, archive.document, archive.users,
+            archive.make_engine(str(tmp_path)),
+        )
+        session = app.login("guest", "guest")
+        lookups = []
+        execute = archive.db.execute
+
+        def counting_execute(sql, params=()):
+            if sql.startswith("SELECT NAME FROM AUTHOR"):
+                lookups.append(params[0])
+            return execute(sql, params)
+
+        monkeypatch.setattr(archive.db, "execute", counting_execute)
+        response = app.get(
+            "/search",
+            {"table": "SIMULATION", "show_AUTHOR_KEY": "on", "show_TITLE": "on"},
+            session_id=session,
+        )
+        assert "9 row(s)" in response.text
+        assert "Kenji Takeda" in response.text
+        assert sorted(lookups) == sorted(set(lookups))
+        assert len(lookups) == 4
+
 
 class TestAppDownloads:
     def test_guest_cannot_download(self, app, guest_session, archive):
