@@ -52,16 +52,21 @@ def _backup_entry(server, path: str):
 def coordinated_backup(db: Database, linker: DataLinker, directory: str) -> dict:
     """Write a consistent backup image of ``db`` plus its linked files.
 
+    Every table is read at one pinned snapshot, so the image holds the
+    committed state of one moment, without any open transaction's rows.
     Returns the manifest (also persisted as ``backup_manifest.json``).
     """
     os.makedirs(directory, exist_ok=True)
-    snapshot = {
-        "ddl": db.catalog.ddl_script(),
-        "tables": {
-            table.schema.name: WriteAheadLog.encode_table_rows(table.scan())
-            for table in db.catalog.tables()
-        },
-    }
+    with db._snapshot_scope() as at:
+        snapshot = {
+            "ddl": db.catalog.ddl_script(),
+            "tables": {
+                table.schema.name: WriteAheadLog.encode_table_rows(
+                    table.heap.scan_at(at)
+                )
+                for table in db.catalog.tables()
+            },
+        }
     with open(os.path.join(directory, "database.json"), "w", encoding="utf-8") as fh:
         json.dump(snapshot, fh)
 
@@ -154,10 +159,7 @@ def coordinated_restore(
 
     for stmt in parse_script(snapshot["ddl"]):
         db.execute_statement(stmt)
-    for table_name, entries in snapshot["tables"].items():
-        table = db.catalog.table(table_name)
-        for rowid, row in WriteAheadLog.decode_table_rows(entries):
-            table.insert(row, rowid)
+    db._load_rows(snapshot["tables"])
 
     # Re-establish link control exactly as it was.
     for info in manifest["files"]:

@@ -8,29 +8,28 @@ the single-user engine into one.  The pieces:
   that raises :class:`~repro.errors.LockTimeout` instead of blocking
   forever, and every wait is measured (``sqldb.writer_lock.*`` metrics,
   including a queue-depth gauge).
-* :class:`TableSnapshot` / :class:`SnapshotCatalog` — read-only,
-  visibility-filtered views of the live catalog at one version-clock
-  sequence.  A table untouched since the snapshot is served in *frozen*
-  mode — live heap and live indexes, full index access paths — and the
-  connection validates after the statement that it stayed untouched,
-  retrying once in scan mode if a writer committed mid-read (optimistic
-  snapshot reads).
+* :class:`TableSnapshot` / :class:`SnapshotCatalog` — read-only views of
+  the live catalog at one version-clock sequence.  Every access path —
+  index lookups, range scans, index joins, scans — reads the live heap
+  and live indexes, corrected by the heap's write marks (see
+  :mod:`repro.sqldb.storage`).
 * :class:`Connection` — one session's handle: its own
   :class:`~repro.sqldb.transactions.TransactionManager` (transaction state
-  is *per connection*), its own executors (the executor keeps per-statement
-  state and is not shareable across threads), and the snapshot read path.
+  is *per connection*) and its own executor over its
+  :class:`SnapshotCatalog` (the executor keeps per-statement state and is
+  not shareable across threads).
 * :class:`ConnectionPool` — a small fixed pool the servlet container
   checks a connection out of per request, installing it as the calling
   thread's implicit connection for the request's duration.
 
-Isolation level offered (see docs/CONCURRENCY.md): autocommit reads on a
-``snapshot_reads`` connection are *read-committed with per-statement
-snapshots* — each statement sees one consistent committed state and never
-blocks on the writer.  Reads inside an explicit transaction see the live
-state (the transaction's own uncommitted writes included).  Connections
-obtained via :meth:`Database.connect` default to snapshot reads; the
-per-thread implicit connection behind ``Database.execute`` reads live,
-preserving exact single-connection semantics.
+Isolation level offered (see docs/CONCURRENCY.md): *read committed with
+per-statement snapshots*.  Every statement reads at one snapshot.  A
+connection that holds the writer lock reads at ``clock.pending``, so it
+sees its own uncommitted writes (nobody else can have any); every other
+statement — on the implicit connection behind ``Database.execute``, on a
+pooled connection, or inside an explicit transaction before its first
+write — pins the committed sequence, so it sees one consistent committed
+state and never blocks on the writer.
 """
 
 from __future__ import annotations
@@ -129,81 +128,50 @@ class WriterLock:
 
 
 class TableSnapshot:
-    """Read-only view of one :class:`~repro.sqldb.storage.Table` at a
-    snapshot sequence, presenting the executor's table interface.
+    """One :class:`~repro.sqldb.storage.Table` as of a snapshot sequence,
+    presenting the executor's table interface.
 
-    *Frozen* mode (table unmodified since the snapshot, and not forced to
-    scan): the live heap and live indexes serve the query — zero copying.
-    Correctness relies on post-statement validation by the owning
-    :class:`SnapshotCatalog`.  Otherwise every access goes through the
-    heap's versioned reads and no indexes are offered, so the planner
-    falls back to (visibility-filtered) sequential scans.
+    The live indexes serve every access path; :meth:`rows` turns their
+    candidates into the rows visible at the snapshot, a superset of the
+    matches that the executor filters again.
     """
 
-    def __init__(self, table, snapshot: int, force_scan: bool = False) -> None:
+    def __init__(self, table, snapshot: int) -> None:
         self._table = table
         self.snapshot = snapshot
         self.schema = table.schema
-        self.frozen = not force_scan and table.version_seq <= snapshot
-        self.indexes = dict(table.indexes) if self.frozen else {}
+        self.indexes = dict(table.indexes)
         self._visible: list[tuple[int, tuple]] | None = None
 
-    def _materialised(self) -> list[tuple[int, tuple]]:
+    def _scanned(self) -> list[tuple[int, tuple]]:
         if self._visible is None:
             self._visible = self._table.heap.scan_at(self.snapshot)
         return self._visible
 
     def scan(self):
-        if self.frozen:
-            return self._table.heap.scan()
-        return iter(self._materialised())
+        return iter(self._scanned())
 
-    def row(self, rowid: int) -> tuple:
-        return self._table.heap.get_at(rowid, self.snapshot)
-
-    def index_on(self, columns, require_unique: bool = False):
-        if not self.frozen:
-            return None
-        return self._table.index_on(columns, require_unique)
+    def rows(self, rowids) -> list[tuple]:
+        """The visible rows for index candidates ``rowids``."""
+        return self._table.heap.rows_at(rowids, self.snapshot)
 
     def index_leading_on(self, column: str):
-        if not self.frozen:
-            return None
         return self._table.index_leading_on(column)
 
     def __len__(self) -> int:
-        if self.frozen:
-            return len(self._table)
-        return len(self._materialised())
+        return len(self._scanned())
 
 
 class SnapshotCatalog:
-    """Catalog facade resolving every table to a :class:`TableSnapshot`.
-
-    One per connection; :meth:`begin` re-arms it for each snapshot-read
-    statement.  System catalog views are served live and unwrapped — they
-    are synthesised transient tables, outside row versioning.
+    """Catalog facade resolving every table to a :class:`TableSnapshot` at
+    ``snapshot``, which the connection sets before each statement.  System
+    catalog views are served live and unwrapped — they are synthesised
+    transient tables, outside row versioning.
     """
 
     def __init__(self, catalog) -> None:
         self._catalog = catalog
         self.snapshot = 0
-        self.force_scan = False
-        #: tables handed out in frozen (live-index) mode, checked after
-        #: the statement to detect a writer racing the read
-        self._frozen_tables: list = []
-
-    def begin(self, snapshot: int, force_scan: bool = False) -> None:
-        self.snapshot = snapshot
-        self.force_scan = force_scan
-        self._frozen_tables = []
-
-    def consistent(self) -> bool:
-        """True when no frozen table was mutated past the snapshot."""
-        return all(
-            table.version_seq <= self.snapshot
-            for table in self._frozen_tables
-        )
 
     # -- the catalog surface the executor consumes -----------------------------
 
@@ -211,10 +179,7 @@ class SnapshotCatalog:
         table = self._catalog.table(name)
         if self._catalog.is_system_table(name):
             return table
-        snap = TableSnapshot(table, self.snapshot, force_scan=self.force_scan)
-        if snap.frozen:
-            self._frozen_tables.append(table)
-        return snap
+        return TableSnapshot(table, self.snapshot)
 
     def schema(self, name: str):
         return self._catalog.schema(name)
@@ -236,16 +201,13 @@ class Connection:
     """One session's handle onto a :class:`~repro.sqldb.database.Database`.
 
     Owns its transaction state (so concurrent sessions can each hold an
-    open transaction), its own executors, and — when ``snapshot_reads`` is
-    on — the per-statement snapshot read path.  Not itself thread-safe:
-    one connection serves one thread at a time, which is exactly how the
-    pool hands them out.
+    open transaction) and one executor, which reads at the snapshot
+    :meth:`snapshot` sets.  Not itself thread-safe: one connection serves
+    one thread at a time, which is exactly how the pool hands them out.
     """
 
-    def __init__(self, db, snapshot_reads: bool = True,
-                 lock_timeout: float | None = None) -> None:
+    def __init__(self, db, lock_timeout: float | None = None) -> None:
         self._db = db
-        self.snapshot_reads = snapshot_reads
         #: per-connection override of the engine's writer-lock timeout
         self.lock_timeout = lock_timeout
         self.txns = TransactionManager(
@@ -257,10 +219,8 @@ class Connection:
             snapshot_floor=db.snapshot_floor,
             obs=db._obs,
         )
-        #: live executor: writes, explicit-transaction reads, EXPLAIN
-        self.executor = Executor(db.catalog)
-        self._snap_catalog = SnapshotCatalog(db.catalog)
-        self._snap_executor = Executor(self._snap_catalog)
+        self._catalog = SnapshotCatalog(db.catalog)
+        self.executor = Executor(self._catalog)
         self.closed = False
 
     # -- public API ------------------------------------------------------------
@@ -308,51 +268,28 @@ class Connection:
         if self.closed:
             raise TransactionError("connection is closed")
 
-    # -- the snapshot read path --------------------------------------------------
-
-    def _execute_read(self, stmt, params: Sequence[Any]):
-        """Run a SELECT/UNION/EXPLAIN for this connection.
-
-        Snapshot mode applies to autocommit reads on snapshot-enabled
-        connections; reads inside an explicit transaction are live so the
-        transaction observes its own writes.
-        """
+    @contextmanager
+    def snapshot(self):
+        """Scope one read statement: at ``clock.pending`` while this
+        connection holds the writer lock, else at the committed sequence,
+        pinned for the duration so commits keep the versions it needs.
+        (A write statement holds the lock, so it reads at ``pending``.)"""
         db = self._db
-        if not self.snapshot_reads or self.txns.active is not None:
-            return db._run_read(stmt, params, self.executor)
-        with db._snapshot_scope() as snapshot:
-            self._snap_catalog.begin(snapshot)
-            result = db._run_read(stmt, params, self._snap_executor)
-            if self._snap_catalog.consistent():
-                db._observe_snapshot_read(snapshot, retried=False)
-                return result
-            # A writer committed into a table we were reading through live
-            # indexes; the result may mix generations.  Re-run against the
-            # versioned scan path, which is race-free at this snapshot.
-            self._snap_catalog.begin(snapshot, force_scan=True)
-            result = db._run_read(stmt, params, self._snap_executor)
-            db._observe_snapshot_read(snapshot, retried=True)
-            return result
-
-    # -- instrumentation helpers (both executors belong to this connection) ----
+        if self.txns.holds_writer_lock:
+            self._catalog.snapshot = db.catalog.clock.pending
+            yield
+            return
+        snapshot = self._catalog.snapshot = db._pin()
+        try:
+            yield
+        finally:
+            db._unpin(snapshot)
+        db._observe_snapshot_read(snapshot)
 
     @property
     def rows_scanned(self) -> int:
-        return self.executor.rows_scanned + self._snap_executor.rows_scanned
-
-    @property
-    def pushdown_filtered(self) -> int:
-        return (
-            self.executor.pushdown_filtered
-            + self._snap_executor.pushdown_filtered
-        )
-
-    @property
-    def hash_build_rows(self) -> int:
-        return (
-            self.executor.hash_build_rows
-            + self._snap_executor.hash_build_rows
-        )
+        """Rows this connection's statements have examined, lifetime."""
+        return self.executor.rows_scanned
 
 
 class _ConnectionTransaction:
@@ -372,7 +309,7 @@ class _ConnectionTransaction:
 
 
 class ConnectionPool:
-    """Fixed-size pool of snapshot-read connections for the web tier.
+    """Fixed-size pool of connections for the web tier.
 
     ``scope()`` checks a connection out, installs it as the calling
     thread's implicit connection on the database (so every
@@ -393,9 +330,7 @@ class ConnectionPool:
         self.checkout_timeout = checkout_timeout
         self._idle: "queue.Queue" = queue.Queue()
         for _ in range(size):
-            self._idle.put(
-                Connection(db, snapshot_reads=True, lock_timeout=lock_timeout)
-            )
+            self._idle.put(Connection(db, lock_timeout=lock_timeout))
         self.checkouts = 0
         self._in_use = 0
         self._stats_lock = threading.Lock()

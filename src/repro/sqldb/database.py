@@ -181,18 +181,14 @@ class Database:
 
     # -- connections -------------------------------------------------------------
 
-    def connect(self, snapshot_reads: bool = True,
-                lock_timeout: float | None = None) -> Connection:
+    def connect(self, lock_timeout: float | None = None) -> Connection:
         """Open an independent connection with its own transaction state.
 
-        ``snapshot_reads=True`` (the default) gives the connection
-        per-statement snapshot isolation on autocommit reads, so it never
-        blocks on the writer; ``lock_timeout`` overrides the engine-wide
-        writer-lock timeout for this connection's writes.
+        Its reads run at per-statement snapshots (see :class:`Connection`)
+        and never block on the writer; ``lock_timeout`` overrides the
+        engine-wide writer-lock timeout for this connection's writes.
         """
-        return Connection(
-            self, snapshot_reads=snapshot_reads, lock_timeout=lock_timeout
-        )
+        return Connection(self, lock_timeout=lock_timeout)
 
     def _allocate_txn_id(self) -> int:
         with self._txn_ids_lock:
@@ -202,16 +198,15 @@ class Database:
         """The calling thread's implicit connection.
 
         A pool-installed override wins; otherwise each thread lazily gets
-        its own default connection with live (non-snapshot) reads, which
-        preserves exact historical single-connection semantics for
-        ``Database.execute``.
+        its own default connection.  Like any connection, it sees its own
+        uncommitted writes and no other connection's.
         """
         override = getattr(self._tls, "override", None)
         if override is not None:
             return override
         conn = getattr(self._tls, "conn", None)
         if conn is None:
-            conn = Connection(self, snapshot_reads=False)
+            conn = Connection(self)
             self._tls.conn = conn
         return conn
 
@@ -233,26 +228,34 @@ class Database:
 
     @contextmanager
     def _snapshot_scope(self):
-        """Pin the current committed sequence for one read statement."""
-        with self._snapshots_lock:
-            snapshot = self.catalog.clock.committed
-            self._snapshots[snapshot] = self._snapshots.get(snapshot, 0) + 1
+        """Pin the current committed sequence for the duration."""
+        snapshot = self._pin()
         try:
             yield snapshot
         finally:
-            with self._snapshots_lock:
-                count = self._snapshots.get(snapshot, 1) - 1
-                if count > 0:
-                    self._snapshots[snapshot] = count
-                else:
-                    self._snapshots.pop(snapshot, None)
+            self._unpin(snapshot)
+
+    def _pin(self) -> int:
+        """Register a reader at the committed sequence; returns it."""
+        with self._snapshots_lock:
+            snapshot = self.catalog.clock.committed
+            self._snapshots[snapshot] = self._snapshots.get(snapshot, 0) + 1
+        return snapshot
+
+    def _unpin(self, snapshot: int) -> None:
+        with self._snapshots_lock:
+            count = self._snapshots.get(snapshot, 1) - 1
+            if count > 0:
+                self._snapshots[snapshot] = count
+            else:
+                self._snapshots.pop(snapshot, None)
 
     def snapshot_floor(self) -> int | None:
         """Oldest snapshot still being read (None when no reader active)."""
         with self._snapshots_lock:
             return min(self._snapshots) if self._snapshots else None
 
-    def _observe_snapshot_read(self, snapshot: int, retried: bool) -> None:
+    def _observe_snapshot_read(self, snapshot: int) -> None:
         obs = self._obs or get_observability()
         if not obs.enabled:
             return
@@ -260,8 +263,6 @@ class Database:
         obs.metrics.histogram("sqldb.snapshot.age_commits").observe(
             self.catalog.clock.committed - snapshot
         )
-        if retried:
-            obs.metrics.counter("sqldb.snapshot.retries").inc()
 
     # -- configuration -----------------------------------------------------------
 
@@ -359,16 +360,17 @@ class Database:
         sql: str | None,
     ) -> Result:
         kind = type(stmt).__name__.removesuffix("Stmt").upper()
-        scanned_before = conn.rows_scanned
-        pushed_before = conn.pushdown_filtered
-        hashed_before = conn.hash_build_rows
+        executor = conn.executor
+        scanned_before = executor.rows_scanned
+        pushed_before = executor.pushdown_filtered
+        hashed_before = executor.hash_build_rows
         with obs.tracer.span(
             "sql.statement", statement=kind, sql=sql or f"<{kind}>"
         ) as span:
             started = perf_counter()
             result = self._dispatch_statement(conn, stmt, params, sql)
             elapsed = perf_counter() - started
-        scanned = conn.rows_scanned - scanned_before
+        scanned = executor.rows_scanned - scanned_before
         span.set(
             elapsed=elapsed,
             rows=len(result.rows) or result.rowcount,
@@ -378,10 +380,10 @@ class Database:
         metrics.counter("sql.statements", kind=kind).inc()
         metrics.counter("sql.rows_returned").inc(len(result.rows))
         metrics.counter("sql.rows_scanned").inc(scanned)
-        pushed = conn.pushdown_filtered - pushed_before
+        pushed = executor.pushdown_filtered - pushed_before
         if pushed:
             metrics.counter("sqldb.scan.pushdown_filtered").inc(pushed)
-        hashed = conn.hash_build_rows - hashed_before
+        hashed = executor.hash_build_rows - hashed_before
         if hashed:
             metrics.counter("sqldb.join.hash_build_rows").inc(hashed)
         metrics.histogram("sql.statement_seconds").observe(elapsed)
@@ -402,7 +404,8 @@ class Database:
         sql: str | None,
     ) -> Result:
         if isinstance(stmt, (SelectStmt, UnionStmt, ExplainStmt)):
-            return conn._execute_read(stmt, params)
+            with conn.snapshot():
+                return self._run_read(stmt, params, conn.executor)
         if isinstance(stmt, BeginStmt):
             conn.txns.begin(explicit=True)
             return Result()
@@ -422,6 +425,8 @@ class Database:
         # connection untouched.  No-op when this connection already holds
         # the lock (explicit transaction with earlier writes).
         conn.txns.acquire_writer(conn.lock_timeout)
+        # the lock holder reads its own uncommitted writes (Connection.snapshot)
+        conn._catalog.snapshot = self.catalog.clock.pending
         txn, owns = conn.txns.ensure()
         stmt_mark = conn.txns.statement_mark(txn)
         hook_mark = self._hooks.statement_mark(txn)
@@ -464,10 +469,8 @@ class Database:
 
     def _run_read(self, stmt: Statement, params: Sequence[Any],
                   executor: Executor) -> Result:
-        """Execute a read statement against the given executor — either a
-        connection's live executor or its snapshot executor (the snapshot
-        read path runs the *whole* statement, UNION branches included,
-        against one snapshot)."""
+        """Execute a read statement on a connection's executor (the whole
+        statement, UNION branches included, reads at one snapshot)."""
         if isinstance(stmt, SelectStmt):
             return self._select_result(stmt, params, executor)
         if isinstance(stmt, UnionStmt):
@@ -499,7 +502,9 @@ class Database:
         stmt = parse_sql(sql)
         if not isinstance(stmt, SelectStmt):
             raise SqlSyntaxError("EXPLAIN supports SELECT only")
-        result = self._executor.execute_select(stmt, params)
+        conn = self._connection()
+        with conn.snapshot():
+            result = conn.executor.execute_select(stmt, params)
         return render(result.plan)
 
     def _execute_explain_analyze(self, stmt: ExplainStmt,
@@ -1047,10 +1052,7 @@ class Database:
                 self._apply_recovered_ddl(ddl_stmt)
             for index_sql in checkpoint.get("indexes", []):
                 self._apply_recovered_ddl(parse_sql(index_sql))
-            for table_name, entries in checkpoint["tables"].items():
-                table = self.catalog.table(table_name)
-                for rowid, row in WriteAheadLog.decode_table_rows(entries):
-                    table.insert(row, rowid)
+            self._load_rows(checkpoint["tables"])
         watermark = self._wal.checkpoint_lsn
         replayed = skipped = 0
         for lsn, _txn_id, ops in self._wal.iter_transactions():
@@ -1061,10 +1063,7 @@ class Database:
                 self._replay(op)
             replayed += 1
         torn_bytes = self._wal.repair_torn_tail()
-        # Rows loaded above were stamped at the pending sequence while the
-        # clock sat at 0; one commit makes the entire recovered state the
-        # first committed snapshot.
-        self.catalog.clock.commit()
+        self._commit_loaded()
         self.recovery_stats = {
             "replayed_txns": replayed,
             "skipped_stale": skipped,
@@ -1072,6 +1071,24 @@ class Database:
             "checkpoint_lsn": watermark,
             "epoch": self._wal.epoch,
         }
+
+    def _load_rows(self, tables: dict[str, list]) -> None:
+        """Insert the rows of a checkpoint or backup image (table name ->
+        WAL-encoded rows) and commit them as one generation."""
+        for table_name, entries in tables.items():
+            table = self.catalog.table(table_name)
+            for rowid, row in WriteAheadLog.decode_table_rows(entries):
+                table.insert(row, rowid)
+        self._commit_loaded()
+
+    def _commit_loaded(self) -> None:
+        """Make rows written outside any transaction (loaded or replayed)
+        visible to snapshot reads, and prune their write marks, so reads
+        do not walk one mark per loaded row.  Only for a database no
+        reader can reach yet, so nothing older needs the marks."""
+        committed = self.catalog.clock.commit()
+        for table in self.catalog.tables():
+            table.heap.prune_history(committed)
 
     def _apply_recovered_ddl(self, stmt: Statement, sql_text: str | None = None) -> None:
         if isinstance(stmt, CreateViewStmt):

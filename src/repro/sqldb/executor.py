@@ -504,9 +504,10 @@ class Executor:
         looks for an index whose full key is covered — so composite
         primary keys (FILE_NAME, SIMULATION_KEY) get point lookups too.
         Failing that, a single-column sorted index whose column carries a
-        range bound drives :meth:`SortedIndex.range_scan`; the originating
-        predicate remains as a pushed filter, so the range is free to be a
-        superset of the matching rows.
+        range bound drives :meth:`SortedIndex.range_scan`.  Every
+        originating predicate remains as a pushed filter, so a lookup or
+        range is free to return a superset of the matching rows (as reads
+        at a snapshot do, see :class:`~repro.sqldb.connection.TableSnapshot`).
         """
         bound: dict[str, Any] = {}
         for ref, value in equalities:
@@ -531,9 +532,7 @@ class Executor:
                     f"index lookup {entry.alias} via {best.name} "
                     f"({', '.join(best.columns)} = {key!r})"
                 )
-                rows = [
-                    entry.table.row(rowid) for rowid in best.find_sorted(key)
-                ]
+                rows = entry.table.rows(best.find_sorted(key))
                 self.rows_scanned += len(rows)
                 return iter(rows)
 
@@ -583,8 +582,9 @@ class Executor:
                 f"range scan {entry.alias} via {index.name} "
                 f"({crange.describe()})"
             )
-            self.rows_scanned += len(rowids)
-            return iter([entry.table.row(rowid) for rowid in rowids])
+            rows = entry.table.rows(rowids)
+            self.rows_scanned += len(rows)
+            return iter(rows)
         return None
 
     @staticmethod
@@ -798,7 +798,7 @@ class _JoinStep:
         for outer in outer_rows:
             value = outer_key(outer)
             candidates = (
-                [table.row(rowid) for rowid in index.find_sorted((value,))]
+                table.rows(index.find_sorted((value,)))
                 if value is not None
                 else []
             )

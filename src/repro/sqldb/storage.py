@@ -10,30 +10,47 @@ facade.
 Concurrency (MVCC-lite)
 -----------------------
 
-The heap keeps enough version history for readers to scan a *stable
-snapshot* while a single serialized writer mutates the live rows:
+One serialized writer mutates the live rows and indexes while readers
+read them, lock-free, at a *snapshot*: a sequence of the
+:class:`VersionClock`, which ticks once per committed writing
+transaction (``clock.pending`` is the sequence the open transaction's
+changes will become visible at).  Each heap keeps two things beside its
+live rows:
 
-* a :class:`VersionClock` ticks once per committed writing transaction;
-  ``clock.pending`` is the sequence number the open transaction's changes
-  will become visible at,
-* every live row remembers the sequence it was created at,
-* deleting or rewriting a *committed* row first pushes the old version —
-  ``(created, deleted, row)`` — onto that rowid's history list.
+* *write marks* — rowid -> sequence of the row's latest write (insert,
+  update or delete), kept only while some registered snapshot may
+  predate that write,
+* *history* — the superseded committed versions ``(created, deleted,
+  row)`` such snapshots may still need.
 
-A version is visible at snapshot ``S`` iff ``created <= S < deleted``
-(live rows have ``deleted = infinity``).  Because there is at most one
-writer, a rowid never has more than one version visible at any snapshot.
-History entries whose ``deleted`` is at or below the oldest snapshot still
-registered are pruned at commit (see ``TransactionManager``).
+A rowid with no mark, or marked at or below ``S``, is read live at
+snapshot ``S``; a rowid marked after ``S`` is read from its history
+(the version with ``created <= S < deleted``), or is invisible.  Each
+commit ticks the clock, and so does each rollback (its undo restored the
+committed rows, so its marks close as an empty generation); marks and
+history at or below the oldest registered snapshot are then pruned in
+every table (see ``TransactionManager``).
 
-Mutation orders its bookkeeping so that snapshot scans — which run with
-no lock at all, relying on the GIL's atomic dict operations — never
-observe a torn state: history is recorded *before* the live row vanishes,
-and a row's created-sequence is advanced *before* its new image lands.
+The two sides order their steps so that no lock is needed (dict reads
+and writes are atomic under the GIL; only a :class:`SortedIndex` guards
+its list):
+
+* the writer records history first, then the mark, then the live row,
+  then the indexes;
+* a reader takes index candidates first, then the live rows, then the
+  marks.
+
+So a reader that sees a new live row or index entry also sees its mark,
+and the history the mark points to.  Index reads at a snapshot add every
+rowid marked after it, so they return a superset of the matches (a row
+whose key changed or vanished is still found by its old key); the
+executor re-applies every WHERE conjunct and ON condition after an
+access path.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left, bisect_right, insort
 from typing import Any, Iterator, Sequence
 
@@ -67,14 +84,15 @@ class VersionClock:
 
 
 class Heap:
-    """Append-mostly row store addressed by integer rowids."""
+    """Row store addressed by integer rowids, readable at any registered
+    snapshot through its write marks and history (module docstring)."""
 
     def __init__(self, clock: VersionClock | None = None) -> None:
         self._rows: dict[int, tuple] = {}
         self._next_rowid = 1
         self.clock = clock if clock is not None else VersionClock()
-        #: rowid -> sequence the live row became (or will become) visible at
-        self._created: dict[int, int] = {}
+        #: rowid -> sequence of its latest write (the write marks)
+        self._written: dict[int, int] = {}
         #: rowid -> [(created, deleted, row), ...] superseded versions
         self._history: dict[int, list[tuple[int, int, tuple]]] = {}
 
@@ -91,40 +109,28 @@ class Heap:
             if rowid in self._rows:
                 raise CatalogError(f"rowid {rowid} already present")
             self._next_rowid = max(self._next_rowid, rowid + 1)
-        # created must land before the row so a concurrent snapshot scan
-        # that sees the row also sees that it is not yet committed
-        self._created[rowid] = self.clock.pending
+        self._written[rowid] = self.clock.pending
         self._rows[rowid] = row
         return rowid
 
+    def _supersede(self, rowid: int, row: tuple) -> None:
+        """Before ``row``, the live version of ``rowid``, changes: keep it
+        for older snapshots if it is committed, then mark the rowid."""
+        pending = self.clock.pending
+        written = self._written.get(rowid, 0)
+        if written < pending:
+            self._history.setdefault(rowid, []).append((written, pending, row))
+        self._written[rowid] = pending
+
     def delete(self, rowid: int) -> tuple:
-        try:
-            row = self._rows[rowid]
-        except KeyError:
-            raise CatalogError(f"no row with rowid {rowid}") from None
-        created = self._created.get(rowid, 0)
-        if created <= self.clock.committed:
-            # committed version: keep it readable for older snapshots
-            self._history.setdefault(rowid, []).append(
-                (created, self.clock.pending, row)
-            )
+        row = self.get(rowid)
+        self._supersede(rowid, row)
         del self._rows[rowid]
-        self._created.pop(rowid, None)
         return row
 
     def update(self, rowid: int, row: tuple) -> tuple:
-        try:
-            old = self._rows[rowid]
-        except KeyError:
-            raise CatalogError(f"no row with rowid {rowid}") from None
-        created = self._created.get(rowid, 0)
-        if created <= self.clock.committed:
-            self._history.setdefault(rowid, []).append(
-                (created, self.clock.pending, old)
-            )
-            # advance created before the new image lands: a scan that sees
-            # the new row must classify it as uncommitted
-            self._created[rowid] = self.clock.pending
+        old = self.get(rowid)
+        self._supersede(rowid, old)
         self._rows[rowid] = row
         return old
 
@@ -152,74 +158,74 @@ class Heap:
     # -- snapshot reads ---------------------------------------------------------
 
     def scan_at(self, snapshot: int) -> list[tuple[int, tuple]]:
-        """``(rowid, row)`` pairs visible at ``snapshot``, lock-free.
+        """``(rowid, row)`` pairs visible at ``snapshot``."""
+        return self._at(list(self._rows.items()), snapshot)
 
-        Safe against one concurrent writer: ``list(dict.items())`` is
-        atomic under the GIL, mutation records history before removing
-        live rows, and a live row whose created-sequence vanished mid-scan
-        is deferred to the history pass (which then has the authoritative
-        version interval).
-        """
-        out: list[tuple[int, tuple]] = []
-        live_seen: set[int] = set()
-        for rowid, row in list(self._rows.items()):
-            created = self._created.get(rowid)
-            if created is None:
-                continue  # deleted under us; the history pass decides
-            if created <= snapshot:
+    def rows_at(self, rowids, snapshot: int) -> list[tuple]:
+        """The rows visible at ``snapshot`` among the index candidates
+        ``rowids``, plus every rowid written after ``snapshot`` (its
+        version there may match where its live row no longer does)."""
+        live = self._rows
+        pairs = [(rowid, live.get(rowid)) for rowid in rowids]
+        return [row for _rowid, row in self._at(pairs, snapshot)]
+
+    def _at(self, pairs: list[tuple[int, tuple]],
+            snapshot: int) -> list[tuple[int, tuple]]:
+        """Correct live ``pairs`` by the marks, read after them: each
+        rowid written after ``snapshot`` is replaced by its version at
+        ``snapshot``, appended in rowid order, or dropped without one.
+        No mark is later than ``clock.pending``, the writer's own reads."""
+        if not self._written or snapshot >= self.clock.pending:
+            return pairs
+        late = {
+            rowid for rowid, seq in list(self._written.items())
+            if seq > snapshot
+        }
+        if not late:
+            return pairs
+        out = [pair for pair in pairs if pair[0] not in late]
+        for rowid in sorted(late):
+            row = self._version_at(rowid, snapshot)
+            if row is not None:
                 out.append((rowid, row))
-                live_seen.add(rowid)
-        for rowid, versions in list(self._history.items()):
-            if rowid in live_seen:
-                continue
-            for created, deleted, row in list(versions):
-                if created <= snapshot < deleted:
-                    out.append((rowid, row))
-                    break
         return out
 
-    def get_at(self, rowid: int, snapshot: int) -> tuple:
-        """The version of ``rowid`` visible at ``snapshot``.
-
-        Falls back to the live row when no version is visible (an index
-        handed out a rowid the snapshot should not see — only possible
-        when a writer raced the read, which the snapshot-validation layer
-        detects and retries).
-        """
+    def get_at(self, rowid: int, snapshot: int) -> tuple | None:
+        """The version of ``rowid`` visible at ``snapshot``, or None."""
         row = self._rows.get(rowid)
-        if row is not None:
-            created = self._created.get(rowid)
-            if created is not None and created <= snapshot:
-                return row
-        for created, deleted, old in list(self._history.get(rowid, ())):
-            if created <= snapshot < deleted:
-                return old
-        if row is not None:
+        if self._written.get(rowid, 0) <= snapshot:
             return row
-        raise CatalogError(f"no row with rowid {rowid}")
+        return self._version_at(rowid, snapshot)
 
-    def prune_history(self, floor: int) -> int:
-        """Drop versions invisible to every snapshot at or above ``floor``.
+    def _version_at(self, rowid: int, snapshot: int) -> tuple | None:
+        for created, deleted, row in list(self._history.get(rowid, ())):
+            if created <= snapshot < deleted:
+                return row
+        return None
 
-        Returns the number of versions removed.  Called at commit with the
-        oldest registered snapshot (or the new committed sequence when no
+    def prune_history(self, floor: int) -> None:
+        """Drop the marks and versions no snapshot at or above ``floor``
+        needs: writes at or below it, versions deleted at or below it.
+
+        Called at each clock tick, under the writer lock, with the oldest
+        registered snapshot (or the new committed sequence when no
         snapshot is active).
         """
-        removed = 0
-        for rowid in list(self._history):
-            versions = self._history.get(rowid)
-            if versions is None:
-                continue
+        if not self._written and not self._history:
+            return  # the common case: every table is pruned at every tick
+        for rowid, seq in list(self._written.items()):
+            if seq <= floor:
+                del self._written[rowid]
+        for rowid, versions in list(self._history.items()):
             keep = [v for v in versions if v[1] > floor]
-            removed += len(versions) - len(keep)
             if keep:
                 self._history[rowid] = keep
             else:
-                self._history.pop(rowid, None)
-        return removed
+                del self._history[rowid]
 
     def clear_history(self) -> None:
         self._history.clear()
+        self._written.clear()
 
     @property
     def history_versions(self) -> int:
@@ -335,44 +341,49 @@ class HashIndex:
 
 class SortedIndex:
     """Ordered index supporting range scans (used for BETWEEN / inequality
-    lookups on indexed columns)."""
+    lookups on indexed columns).
+
+    Bisecting runs Python-level key comparisons, so a snapshot reader's
+    bisect and slice could interleave with the writer's insert or delete,
+    whose shift would move rows out of the positions it computed; a
+    short lock keeps each of them whole.
+    """
 
     def __init__(self, name: str, columns: Sequence[str], unique: bool = False) -> None:
         self.name = name
         self.columns = tuple(c.upper() for c in columns)
         self.unique = unique
         self._entries: list[tuple[_NullsFirstKey, int]] = []
+        self._lock = threading.Lock()
 
     def add(self, key: tuple, rowid: int) -> None:
         if any(part is None for part in key):
             return
         wrapped = _NullsFirstKey(key)
-        if self.unique:
-            i = bisect_left(self._entries, (wrapped, -1))
-            if i < len(self._entries) and self._entries[i][0] == wrapped:
-                raise UniqueViolation(
-                    f"duplicate key {key!r} for unique index {self.name}"
-                )
-        insort(self._entries, (wrapped, rowid))
+        with self._lock:
+            if self.unique:
+                i = bisect_left(self._entries, (wrapped, -1))
+                if i < len(self._entries) and self._entries[i][0] == wrapped:
+                    raise UniqueViolation(
+                        f"duplicate key {key!r} for unique index {self.name}"
+                    )
+            insort(self._entries, (wrapped, rowid))
 
     def remove(self, key: tuple, rowid: int) -> None:
         if any(part is None for part in key):
             return
         wrapped = _NullsFirstKey(key)
-        i = bisect_left(self._entries, (wrapped, rowid))
-        if i < len(self._entries) and self._entries[i] == (wrapped, rowid):
-            del self._entries[i]
+        with self._lock:
+            i = bisect_left(self._entries, (wrapped, rowid))
+            if i < len(self._entries) and self._entries[i] == (wrapped, rowid):
+                del self._entries[i]
 
     def find(self, key: tuple) -> set[int]:
         wrapped = _NullsFirstKey(key)
-        lo = bisect_left(self._entries, (wrapped, -1))
-        out = set()
-        for entry_key, rowid in self._entries[lo:]:
-            if entry_key == wrapped:
-                out.add(rowid)
-            else:
-                break
-        return out
+        with self._lock:
+            lo = bisect_left(self._entries, (wrapped, -1))
+            hi = bisect_right(self._entries, (wrapped, float("inf")), lo)
+            return {rowid for _key, rowid in self._entries[lo:hi]}
 
     def find_sorted(self, key: tuple) -> list[int]:
         """Matching rowids in ascending order (stable across runs)."""
@@ -389,24 +400,25 @@ class SortedIndex:
         include_high: bool = True,
     ) -> list[int]:
         """Rowids whose keys fall within ``[low, high]`` (None = unbounded)."""
-        entries = self._entries
-        lo = 0
-        hi = len(entries)
-        if low is not None:
-            wrapped = _NullsFirstKey(low)
-            lo = (
-                bisect_left(entries, (wrapped, -1))
-                if include_low
-                else bisect_right(entries, (wrapped, float("inf")))
-            )
-        if high is not None:
-            wrapped = _NullsFirstKey(high)
-            hi = (
-                bisect_right(entries, (wrapped, float("inf")))
-                if include_high
-                else bisect_left(entries, (wrapped, -1))
-            )
-        return [rowid for _, rowid in entries[lo:hi]]
+        with self._lock:
+            entries = self._entries
+            lo = 0
+            hi = len(entries)
+            if low is not None:
+                wrapped = _NullsFirstKey(low)
+                lo = (
+                    bisect_left(entries, (wrapped, -1))
+                    if include_low
+                    else bisect_right(entries, (wrapped, float("inf")))
+                )
+            if high is not None:
+                wrapped = _NullsFirstKey(high)
+                hi = (
+                    bisect_right(entries, (wrapped, float("inf")))
+                    if include_high
+                    else bisect_left(entries, (wrapped, -1))
+                )
+            return [rowid for _, rowid in entries[lo:hi]]
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -422,9 +434,6 @@ class Table:
     def __init__(self, schema, clock: VersionClock | None = None) -> None:
         self.schema = schema
         self.heap = Heap(clock)
-        #: sequence of the youngest (possibly uncommitted) mutation; a
-        #: snapshot ``S`` sees the table unchanged iff ``version_seq <= S``
-        self.version_seq = 0
         self.indexes: dict[str, HashIndex | SortedIndex] = {}
         if schema.primary_key:
             self.add_index(
@@ -488,14 +497,12 @@ class Table:
     def insert(self, row: Sequence[Any], rowid: int | None = None) -> tuple[int, tuple]:
         validated = self.schema.validate_row(row)
         self._check_unique(validated)
-        self.version_seq = self.heap.clock.pending
         rowid = self.heap.insert(validated, rowid)
         for index in self.indexes.values():
             index.add(self.schema.key_of(validated, index.columns), rowid)
         return rowid, validated
 
     def delete(self, rowid: int) -> tuple:
-        self.version_seq = self.heap.clock.pending
         row = self.heap.delete(rowid)
         for index in self.indexes.values():
             index.remove(self.schema.key_of(row, index.columns), rowid)
@@ -506,7 +513,6 @@ class Table:
         validated = self.schema.validate_row(new_row)
         old = self.heap.get(rowid)
         self._check_unique(validated, ignore_rowid=rowid)
-        self.version_seq = self.heap.clock.pending
         self.heap.update(rowid, validated)
         for index in self.indexes.values():
             old_key = self.schema.key_of(old, index.columns)
@@ -550,7 +556,6 @@ class Table:
         self.schema._by_name[column.name] = len(self.schema.columns) - 1
         # Schema evolution rewrites rows in place (no per-row versions:
         # old-arity images would not match the mutated schema anyway).
-        self.version_seq = self.heap.clock.pending
         for rowid, row in self.heap.scan():
             self.heap.rewrite(rowid, row + (default,))
         self.heap.clear_history()
@@ -581,7 +586,6 @@ class Table:
                     f"cannot drop column {name}: used by a CHECK constraint"
                 )
         dropped = []
-        self.version_seq = self.heap.clock.pending
         for rowid, row in self.heap.scan():
             dropped.append(row[index_position])
             self.heap.rewrite(

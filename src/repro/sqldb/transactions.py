@@ -28,7 +28,7 @@ import itertools
 import threading
 from typing import Any, Callable
 
-from repro.errors import CatalogError, TransactionError
+from repro.errors import TransactionError
 from repro.obs import get_observability
 
 __all__ = ["Transaction", "TransactionManager"]
@@ -84,7 +84,8 @@ class TransactionManager:
     * ``writer`` is the engine writer lock; :meth:`acquire_writer` takes it
       before the first write and commit/rollback always release it,
     * ``snapshot_floor()`` returns the oldest snapshot sequence still
-      registered (or None) — the bound below which row history is pruned.
+      registered (or None) — the bound at or below which write marks and
+      row history are pruned.
     """
 
     def __init__(self, catalog, wal=None, *, id_allocator=None, clock=None,
@@ -158,11 +159,10 @@ class TransactionManager:
             if self._wal is not None and txn.redo:
                 txn.commit_lsn = self._wal.append_transaction(txn.txn_id, txn.redo)
             self._current = None
-            if self._clock is not None and (txn.undo or txn.redo):
+            if txn.undo or txn.redo:
                 # Visibility point: snapshot readers atomically gain this
                 # transaction's changes.
-                self._clock.commit()
-                self._prune_history(txn)
+                self._advance_clock()
             failures = []
             for hook in txn.on_commit:
                 try:
@@ -202,27 +202,29 @@ class TransactionManager:
         try:
             self._current = None
             self._apply_undo(txn)
+            if txn.undo:
+                # The live rows are the committed ones again: close the
+                # rolled-back writes' marks as an empty generation, so
+                # readers stop walking them.
+                self._advance_clock()
             for hook in reversed(txn.on_rollback):
                 hook()
         finally:
             self._release_writer()
 
-    def _prune_history(self, txn: Transaction) -> None:
-        """Garbage-collect row versions no live snapshot can still see."""
+    def _advance_clock(self) -> None:
+        """Tick the version clock, then garbage-collect the write marks and
+        row versions no registered snapshot can still need, in every
+        table (older commits may have left some behind for a reader)."""
+        if self._clock is None:
+            return
+        self._clock.commit()
         floor = None
         if self._snapshot_floor is not None:
             floor = self._snapshot_floor()
         if floor is None:
             floor = self._clock.committed
-        names = {
-            entry[1] for entry in txn.undo
-            if entry[0] in ("insert", "delete", "update")
-        }
-        for name in names:
-            try:
-                table = self._catalog.table(name)
-            except CatalogError:
-                continue  # dropped since; its versions died with it
+        for table in self._catalog.tables():
             table.heap.prune_history(floor)
 
     # -- statement-level atomicity ---------------------------------------------

@@ -13,17 +13,24 @@ The invariants under test are the ones docs/CONCURRENCY.md promises:
   abandoned transactions.
 """
 
+import contextlib
 import json
+import sys
 import threading
 import time
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import faultinject
 from repro.errors import LockTimeout, TransactionError
 from repro.obs import Observability
 from repro.sqldb import Connection, ConnectionPool, Database
+from repro.sqldb.parser import parse_sql
+from repro.sqldb.connection import SnapshotCatalog
+from repro.sqldb.executor import Executor
 
 
 def _transfer_db(directory=None, rows=8, balance=100):
@@ -80,7 +87,7 @@ class TestSessionTransactions:
     def test_connections_hold_independent_transactions(self):
         db = Database()
         db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY)")
-        c1, c2 = db.connect(), db.connect(snapshot_reads=False)
+        c1, c2 = db.connect(), db.connect()
         c1.execute("BEGIN")
         c1.execute("INSERT INTO T VALUES (1)")
         # c2 has no open transaction of its own
@@ -188,6 +195,80 @@ class TestSnapshotReads:
         assert torn == []
         assert db.execute("SELECT SUM(V) FROM ACCT").scalar() == total
 
+    def test_no_torn_index_reads_under_concurrent_writes(self):
+        """Index lookups (a PK index join), sorted-index range scans and
+        scans beside a writer that moves money, moves rows within the
+        sorted index and inserts and deletes zero-value rows ahead of them:
+        every statement must see the invariant total."""
+        db = Database()
+        db.execute("CREATE TABLE ACCT (K INTEGER PRIMARY KEY, G INTEGER,"
+                   " V INTEGER)")
+        db.execute("CREATE INDEX ACCT_G ON ACCT (G)")
+        db.execute("CREATE TABLE KEYS (K INTEGER PRIMARY KEY)")
+        for k in range(16):
+            db.execute("INSERT INTO ACCT VALUES (?, ?, 100)", (k, k))
+            db.execute("INSERT INTO KEYS VALUES (?)", (k,))
+        for k in range(100, 400):
+            db.execute("INSERT INTO ACCT VALUES (?, ?, 0)", (k, k))
+        total = 1600
+        queries = [
+            "SELECT SUM(A.V) FROM KEYS JOIN ACCT A ON A.K = KEYS.K",
+            "SELECT SUM(V) FROM ACCT WHERE G >= 0",
+            "SELECT SUM(V) FROM ACCT",
+        ]
+        stop = threading.Event()
+        torn, reads, lock = [], [0], threading.Lock()
+
+        def writer():
+            conn = db.connect()
+            i = 0
+            while not stop.is_set():
+                a, b = i % 16, (i + 5) % 16
+                conn.execute("BEGIN")
+                conn.execute("UPDATE ACCT SET V = V - 3, G = G + 16 "
+                             "WHERE K = ?", (a,))
+                conn.execute("UPDATE ACCT SET V = V + 3 WHERE K = ?", (b,))
+                conn.execute("DELETE FROM ACCT WHERE K >= 1000")
+                for j in range(5):
+                    conn.execute("INSERT INTO ACCT VALUES (?, ?, 0)",
+                                 (1000 + 5 * i + j, -i - j))
+                conn.execute("COMMIT")
+                i += 1
+
+        def reader(slot):
+            conn = db.connect()
+            n = 0
+            while not stop.is_set():
+                sql = queries[n % len(queries)]
+                seen = conn.execute(sql).scalar()
+                n += 1
+                if seen != total:
+                    with lock:
+                        torn.append((sql, seen))
+            with lock:
+                reads[0] += n
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)]
+            threads += [
+                threading.Thread(target=reader, args=(slot,))
+                for slot in range(4)
+            ]
+            for t in threads:
+                t.start()
+            time.sleep(0.6)
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert torn == []
+        assert reads[0] > 0
+        assert db.execute("SELECT SUM(V) FROM ACCT").scalar() == total
+
     def test_snapshot_scan_of_versioned_heap(self):
         """Direct check of the storage layer's visibility rules."""
         db = Database()
@@ -237,6 +318,51 @@ class TestSnapshotReads:
         )
         writer.execute("ROLLBACK")
         assert sorted(r[0] for r in result.rows) == [100, 100]
+
+    def test_execute_never_sees_another_connections_uncommitted_rows(self):
+        db, total = _transfer_db()
+        writer = db.connect()
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO ACCT VALUES (99, 1)")
+        writer.execute("UPDATE ACCT SET V = 0 WHERE K = 0")
+        assert db.execute("SELECT COUNT(*) FROM ACCT").scalar() == 8
+        assert db.execute("SELECT SUM(V) FROM ACCT").scalar() == total
+        assert db.execute("SELECT V FROM ACCT WHERE K = 0").scalar() == 100
+        assert db.execute("SELECT V FROM ACCT WHERE K = 99").rows == []
+        writer.execute("ROLLBACK")
+
+    def test_transaction_reads_committed_state_before_its_first_write(self):
+        db, total = _transfer_db()
+        writer, reader = db.connect(), db.connect()
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO ACCT VALUES (99, 1)")
+        writer.execute("UPDATE ACCT SET V = 0 WHERE K = 0")
+        reader.execute("BEGIN")
+        assert reader.execute("SELECT SUM(V) FROM ACCT").scalar() == total
+        assert reader.execute("SELECT V FROM ACCT WHERE K = 0").scalar() == 100
+        assert reader.execute("SELECT V FROM ACCT WHERE K = 99").rows == []
+        reader.execute("COMMIT")
+        writer.execute("ROLLBACK")
+
+    def test_lookup_beside_open_writer_stays_an_index_lookup(self):
+        db = Database()
+        db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
+        with db.transaction():
+            for k in range(500):
+                db.execute("INSERT INTO T VALUES (?, ?)", (k, k))
+        writer, reader = db.connect(), db.connect()
+        writer.execute("BEGIN")
+        writer.execute("UPDATE T SET V = -1 WHERE K = 7")
+        written = 1
+        plan = reader.execute("EXPLAIN SELECT V FROM T WHERE K = 7").rows
+        assert plan[0][0].startswith("index lookup T via PK_T")
+        for k in (7, 8):
+            before = reader.rows_scanned
+            assert reader.execute(
+                "SELECT V FROM T WHERE K = ?", (k,)
+            ).scalar() == k
+            assert reader.rows_scanned - before <= 1 + written
+        writer.execute("ROLLBACK")
 
 
 class TestWriterLock:
@@ -632,3 +758,176 @@ class TestThreadedWebTier:
         )
         assert captured["status"].startswith("413")
         assert b"too large" in b"".join(body)
+
+
+# -- one writer interleaved with snapshot reads (property test) ---------------
+
+_KEYS = st.integers(0, 7)
+_GROUPS = st.integers(0, 4)
+_VALUES = st.integers(-5, 5)
+#: query arguments, in ascending order (a BETWEEN's bounds)
+_ARGS = st.tuples(st.integers(-1, 8), st.integers(-1, 8)).map(
+    lambda pair: tuple(sorted(pair))
+)
+#: the static outer table of the joins; group 7 never matches a P row
+_C_ROWS = [(0, 0), (1, 2), (2, 4), (3, 7)]
+
+
+def _pk(rows, a, _b):
+    return [(k, g, v) for k, (g, v) in rows.items() if k == a]
+
+
+def _range(rows, a, b):
+    return [(k, g, v) for k, (g, v) in rows.items() if a <= g <= b]
+
+
+def _join(rows, _a, _b):
+    return [
+        (ck, k, v) for ck, cg in _C_ROWS
+        for k, (g, v) in rows.items() if g == cg
+    ]
+
+
+def _left_join(rows, _a, _b):
+    out = []
+    for ck, cg in _C_ROWS:
+        matches = [(ck, k) for k, (g, _v) in rows.items() if g == cg]
+        out.extend(matches or [(ck, None)])
+    return out
+
+
+def _scan(rows, a, _b):
+    return [(k, g, v) for k, (g, v) in rows.items() if v >= a]
+
+
+#: name -> (SQL, parameter count, expected access path, model answer)
+_QUERIES = {
+    "pk": ("SELECT K, G, V FROM P WHERE K = ?", 1,
+           "index lookup P", _pk),
+    "range": ("SELECT K, G, V FROM P WHERE G BETWEEN ? AND ?", 2,
+              "range scan P", _range),
+    "join": ("SELECT C.CK, P.K, P.V FROM C JOIN P ON P.G = C.G", 0,
+             "index nested-loop join P", _join),
+    "left": ("SELECT C.CK, P.K FROM C LEFT JOIN P ON P.G = C.G", 0,
+             "index nested-loop join P", _left_join),
+    "scan": ("SELECT K, G, V FROM P WHERE V >= ?", 1, "seq scan P", _scan),
+}
+
+#: one branch per kind of step, so pins, commits and reads are frequent
+#: enough to meet in one sequence
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), _KEYS, _GROUPS, _VALUES),
+    st.tuples(st.just("delete"), _KEYS),
+    st.tuples(st.just("update"), _KEYS, _KEYS, _GROUPS, _VALUES),
+    *(st.just((step,)) for step in ("commit", "rollback", "pin", "unpin")),
+    st.tuples(st.just("read"), st.sampled_from(sorted(_QUERIES)), _ARGS),
+)
+
+
+def _ordered(rows):
+    return sorted(rows, key=repr)
+
+
+class TestSnapshotReadProperty:
+    """A writer's open transaction inserts, deletes and updates rows —
+    primary key and sorted-index column included — then commits or rolls
+    back, while readers run PK lookups, range scans, index joins and seq
+    scans in between.  Readers must see the committed model (a pinned
+    reader: the model as of its pin); the writer, the model plus its
+    pending changes."""
+
+    @staticmethod
+    def _database():
+        db = Database()
+        db.execute(
+            "CREATE TABLE P (K INTEGER PRIMARY KEY, G INTEGER, V INTEGER)"
+        )
+        db.execute("CREATE INDEX P_G ON P (G)")
+        db.execute("CREATE TABLE C (CK INTEGER PRIMARY KEY, G INTEGER)")
+        for row in _C_ROWS:
+            db.execute("INSERT INTO C VALUES (?, ?)", row)
+        for k in range(0, 8, 2):
+            db.execute("INSERT INTO P VALUES (?, ?, ?)", (k, k % 5, k - 5))
+        return db
+
+    @staticmethod
+    def _select_at(db, snapshot, sql, params):
+        catalog = SnapshotCatalog(db.catalog)
+        catalog.snapshot = snapshot
+        return Executor(catalog).execute_select(parse_sql(sql), params)
+
+    @settings(max_examples=120, deadline=None)
+    @given(ops=st.lists(_OPS, min_size=20, max_size=60))
+    def test_readers_match_the_committed_model(self, ops):
+        db = self._database()
+        committed = {k: (k % 5, k - 5) for k in range(0, 8, 2)}
+        pending = None  # the writer's view while its transaction is open
+        writer, reader, txn_reader = db.connect(), db.connect(), db.connect()
+        pin = contextlib.ExitStack()
+        pinned = None  # (snapshot, model as of the pin)
+        for op in ops:
+            kind = op[0]
+            if kind in ("insert", "delete", "update"):
+                if pending is None:
+                    writer.execute("BEGIN")
+                    pending = dict(committed)
+                if kind == "insert":
+                    _, k, g, v = op
+                    if k in pending:
+                        continue
+                    writer.execute("INSERT INTO P VALUES (?, ?, ?)", (k, g, v))
+                    pending[k] = (g, v)
+                elif kind == "delete":
+                    writer.execute("DELETE FROM P WHERE K = ?", (op[1],))
+                    pending.pop(op[1], None)
+                else:
+                    _, k, new_k, g, v = op
+                    if new_k != k and new_k in pending:
+                        continue
+                    writer.execute(
+                        "UPDATE P SET K = ?, G = ?, V = ? WHERE K = ?",
+                        (new_k, g, v, k),
+                    )
+                    if pending.pop(k, None) is not None:
+                        pending[new_k] = (g, v)
+            elif kind in ("commit", "rollback"):
+                if pending is not None:
+                    writer.execute(kind.upper())
+                    if kind == "commit":
+                        committed = pending
+                    pending = None
+            elif kind == "unpin":
+                pin.close()
+                pinned = None
+            elif kind == "pin":
+                snapshot = pin.enter_context(db._snapshot_scope())
+                pinned = (snapshot, dict(committed))
+            else:
+                _, name, args = op
+                sql, arity, access, answer = _QUERIES[name]
+                params = args[:arity]
+                txn_reader.execute("BEGIN")
+                reads = [
+                    ("connect", reader.execute(sql, params), committed),
+                    ("execute", db.execute(sql, params), committed),
+                    ("begin", txn_reader.execute(sql, params), committed),
+                    ("writer", writer.execute(sql, params),
+                     committed if pending is None else pending),
+                ]
+                txn_reader.execute("ROLLBACK")
+                if pinned is not None:
+                    reads.append((
+                        "pinned",
+                        self._select_at(db, pinned[0], sql, params),
+                        pinned[1],
+                    ))
+                for who, result, model in reads:
+                    assert any(step.startswith(access) for step in result.plan)
+                    assert _ordered(result.rows) == _ordered(
+                        answer(model, *args)
+                    ), (who, name, args)
+        if pending is not None:
+            writer.execute("ROLLBACK")
+        pin.close()
+        rows = db.execute("SELECT K, G, V FROM P").rows
+        assert _ordered(rows) == _ordered(_scan(committed, -99, None))

@@ -363,6 +363,32 @@ class TestCoordinatedBackup:
         manifest = coordinated_backup(db, linker, str(tmp_path))
         assert manifest["files"] == []  # RECOVERY NO file not in the image
 
+    def test_restored_rows_visible_to_every_connection(self, archive, tmp_path):
+        db, linker, _server, _clock = archive
+        db.execute("CREATE TABLE NOTE (K INTEGER PRIMARY KEY, V VARCHAR(8))")
+        for k in range(6):
+            db.execute("INSERT INTO NOTE VALUES (?, ?)", (k, f"v{k}"))
+        coordinated_backup(db, linker, str(tmp_path))
+        db2, _linker2 = coordinated_restore(str(tmp_path))
+        reader = db2.connect()
+        assert reader.execute("SELECT COUNT(*) FROM NOTE").scalar() == 6
+        assert reader.execute("SELECT V FROM NOTE WHERE K = 4").scalar() == "v4"
+        # the load was committed and pruned: no write mark per loaded row
+        assert db2.catalog.table("NOTE").heap._written == {}
+
+    def test_image_leaves_out_open_transaction(self, archive, tmp_path):
+        db, linker, _server, _clock = archive
+        db.execute("CREATE TABLE NOTE (K INTEGER PRIMARY KEY, V VARCHAR(8))")
+        db.execute("INSERT INTO NOTE VALUES (1, 'old')")
+        writer = db.connect()
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO NOTE VALUES (2, 'new')")
+        writer.execute("UPDATE NOTE SET V = 'changed' WHERE K = 1")
+        coordinated_backup(db, linker, str(tmp_path))
+        writer.execute("ROLLBACK")
+        db2, _linker2 = coordinated_restore(str(tmp_path))
+        assert db2.execute("SELECT K, V FROM NOTE").rows == [(1, "old")]
+
     def test_restore_missing_image(self, tmp_path):
         with pytest.raises(RecoveryError):
             coordinated_restore(str(tmp_path / "empty"))
