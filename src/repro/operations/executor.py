@@ -370,11 +370,7 @@ class OperationEngine:
                 raise OperationError(
                     f"location condition {condition.colid} is not on {table}"
                 )
-            op_sql = {
-                "eq": "=", "ne": "<>", "lt": "<", "le": "<=",
-                "gt": ">", "ge": ">=", "like": "LIKE",
-            }[condition.op]
-            clauses.append(f"{cond_column} {op_sql} ?")
+            clauses.append(f"{cond_column} {condition.sql_op} ?")
             params.append(condition.value)
         sql = f"SELECT {column} FROM {table}"
         if clauses:

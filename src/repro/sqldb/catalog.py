@@ -147,7 +147,7 @@ class Catalog:
     def table(self, name: str) -> Table:
         name = name.upper()
         if name in SYSTEM_TABLES:
-            return self._system_table(name)
+            return self.system_table(name)
         try:
             return self._tables[name]
         except KeyError:
@@ -166,27 +166,28 @@ class Catalog:
 
     # -- system catalog views -----------------------------------------------
 
-    def _system_table(self, name: str) -> Table:
+    def system_table(self, name: str, snapshot: int | None = None) -> Table:
         """Synthesise a read-only catalog view as a transient table.
 
         Rebuilt on every access so it always reflects the current schema;
-        the database layer refuses DML against these names.
+        SYSTABLES counts the rows visible at ``snapshot`` (the live rows
+        when None).  The database layer refuses DML against these names.
         """
         builders = {
-            "SYSTABLES": self._systables,
+            "SYSTABLES": lambda: self._systables(snapshot),
             "SYSCOLUMNS": self._syscolumns,
             "SYSKEYS": self._syskeys,
             "SYSFOREIGNKEYS": self._sysforeignkeys,
             "SYSINDEXES": self._sysindexes,
             "SYSVIEWS": self._sysviews,
         }
-        schema, rows = builders[name]()
+        schema, rows = builders[name.upper()]()
         table = Table(schema)
         for row in rows:
             table.insert(row)
         return table
 
-    def _systables(self):
+    def _systables(self, snapshot: int | None):
         schema = TableSchema(
             "SYSTABLES",
             [
@@ -200,7 +201,7 @@ class Catalog:
             (
                 table.schema.name,
                 len(table.schema.columns),
-                len(table),
+                len(table if snapshot is None else table.heap.scan_at(snapshot)),
                 ", ".join(table.schema.primary_key),
             )
             for table in self.tables()

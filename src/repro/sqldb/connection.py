@@ -165,8 +165,8 @@ class TableSnapshot:
 class SnapshotCatalog:
     """Catalog facade resolving every table to a :class:`TableSnapshot` at
     ``snapshot``, which the connection sets before each statement.  System
-    catalog views are served live and unwrapped — they are synthesised
-    transient tables, outside row versioning.
+    catalog views are synthesised transient tables, outside row
+    versioning; SYSTABLES counts each table's rows at ``snapshot``.
     """
 
     def __init__(self, catalog) -> None:
@@ -176,10 +176,9 @@ class SnapshotCatalog:
     # -- the catalog surface the executor consumes -----------------------------
 
     def table(self, name: str):
-        table = self._catalog.table(name)
         if self._catalog.is_system_table(name):
-            return table
-        return TableSnapshot(table, self.snapshot)
+            return self._catalog.system_table(name, self.snapshot)
+        return TableSnapshot(self._catalog.table(name), self.snapshot)
 
     def schema(self, name: str):
         return self._catalog.schema(name)

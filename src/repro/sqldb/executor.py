@@ -5,9 +5,7 @@ row concatenates each FROM entry's tuple in FROM order, so every column
 sits at a fixed position (:class:`_Layout`).  Each execution compiles its
 filters, join keys, select items, grouping and sort keys once into
 closures over those positions (:meth:`Expression.compile`), so an unknown
-or ambiguous column is an error before any row is read.  (XUIS
-``<condition>`` elements are not among them: ``repro.xuis.model.Condition``
-has its own comparator.)
+or ambiguous column is an error before any row is read.
 
 Planning is cost-aware where it matters for the EASIA workloads:
 

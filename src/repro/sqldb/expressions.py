@@ -497,6 +497,8 @@ class BinaryOp(Expression):
 def _stringify(value: Any) -> str:
     if isinstance(value, Clob):
         return value.text
+    if isinstance(value, DatalinkValue):
+        return value.url
     if isinstance(value, str):
         return value
     if isinstance(value, bool):
@@ -579,7 +581,7 @@ class Like(Expression):
     @lru_cache(maxsize=256)
     def compile_pattern(pattern: str) -> re.Pattern:
         """Translate an SQL LIKE pattern into an anchored regex (memoised:
-        XUIS conditions and column-valued patterns ask per row)."""
+        a column-valued pattern asks once per row)."""
         out = []
         for ch in pattern:
             if ch == "%":

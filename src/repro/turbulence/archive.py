@@ -24,6 +24,7 @@ from repro.turbulence.codes import CODES, code_archive
 from repro.turbulence.generator import make_timestep_file
 from repro.turbulence.schema import create_turbulence_schema
 from repro.web.auth import UserManager
+from repro.web.render import result_rows_as_dicts
 from repro.xuis import (
     Condition,
     Customizer,
@@ -105,15 +106,7 @@ class TurbulenceArchive:
         if simulation_key is not None:
             sql += " WHERE SIMULATION_KEY = ?"
             params = (simulation_key,)
-        result = self.db.execute(sql, params)
-        rows = []
-        for row in result.rows:
-            entry = {}
-            for name, value in zip(result.columns, row):
-                entry[f"RESULT_FILE.{name}"] = value
-                entry[name] = value
-            rows.append(entry)
-        return rows
+        return result_rows_as_dicts("RESULT_FILE", self.db.execute(sql, params))
 
     @property
     def total_archived_bytes(self) -> int:

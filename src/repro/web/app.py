@@ -50,7 +50,7 @@ from repro.web.forms import (
 )
 from repro.web.http import Request, Response, ServletContainer, escape
 from repro.web.qbe import build_query_from_params
-from repro.web.render import render_result_table
+from repro.web.render import render_result_table, result_rows_as_dicts
 from repro.xuis.model import XuisDocument, parse_colid
 
 __all__ = ["EasiaApp"]
@@ -401,11 +401,7 @@ class EasiaApp:
             raise WebError(
                 f"key parameters matched {len(result.rows)} rows (need exactly 1)"
             )
-        row = {}
-        for name, value in zip(result.columns, result.rows[0]):
-            row[f"{table_name.upper()}.{name}"] = value
-            row[name] = value
-        return row
+        return result_rows_as_dicts(table_name, result)[0]
 
     def _lob(self, request: Request) -> Response:
         """Rematerialise a BLOB/CLOB 'and return [it] to the user's browser

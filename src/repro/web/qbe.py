@@ -130,15 +130,8 @@ class QbeQuery:
             select_list = ", ".join(_column_expr(colid) for colid in fields)
         else:
             select_list = "*"
-        sql = [f"SELECT {select_list} FROM {self.table}"]
-        params: list[Any] = []
-        if self.restrictions:
-            clauses = []
-            for restriction in self.restrictions:
-                op = restriction.normalised_op()
-                clauses.append(f"{_column_expr(restriction.colid)} {op} ?")
-                params.append(restriction.value)
-            sql.append("WHERE " + " AND ".join(clauses))
+        where, params = self._where()
+        sql = [f"SELECT {select_list} FROM {self.table}{where}"]
         if self.order_by:
             direction = " DESC" if self.descending else ""
             sql.append(f"ORDER BY {_column_expr(self.order_by)}{direction}")
@@ -146,20 +139,26 @@ class QbeQuery:
             sql.append(f"LIMIT {int(self.limit)}")
         if self.offset:
             sql.append(f"OFFSET {int(self.offset)}")
-        return " ".join(sql), tuple(params)
+        return " ".join(sql), params
 
     def count_sql(self) -> tuple[str, tuple]:
         """A COUNT(*) over the same restrictions (drives pagination)."""
-        sql = [f"SELECT COUNT(*) FROM {self.table}"]
-        params: list[Any] = []
-        if self.restrictions:
-            clauses = []
-            for restriction in self.restrictions:
-                op = restriction.normalised_op()
-                clauses.append(f"{_column_expr(restriction.colid)} {op} ?")
-                params.append(restriction.value)
-            sql.append("WHERE " + " AND ".join(clauses))
-        return " ".join(sql), tuple(params)
+        where, params = self._where()
+        return f"SELECT COUNT(*) FROM {self.table}{where}", params
+
+    def _where(self) -> tuple[str, tuple]:
+        """The `` WHERE ...`` clause over the restrictions (empty when
+        there are none) and its parameters."""
+        if not self.restrictions:
+            return "", ()
+        clauses = [
+            f"{_column_expr(r.colid)} {r.normalised_op()} ?"
+            for r in self.restrictions
+        ]
+        return (
+            " WHERE " + " AND ".join(clauses),
+            tuple(r.value for r in self.restrictions),
+        )
 
     def __repr__(self) -> str:
         return f"QbeQuery({self.table}, {len(self.restrictions)} restriction(s))"

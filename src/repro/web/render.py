@@ -21,14 +21,16 @@ from repro.xuis.model import XuisDocument, XuisTable
 __all__ = ["render_result_table", "result_rows_as_dicts"]
 
 
-def result_rows_as_dicts(table: XuisTable, result: Result) -> list[dict[str, Any]]:
-    """Zip result rows into colid-keyed dicts (the shape conditions and the
-    cell renderer consume)."""
+def result_rows_as_dicts(table_name: str, result: Result) -> list[dict[str, Any]]:
+    """Zip the rows of a ``SELECT ... FROM table_name`` into dicts keyed by
+    both ``TABLE.COLUMN`` and bare ``COLUMN`` (the shape XUIS conditions,
+    operations and the cell renderer consume)."""
+    table_name = table_name.upper()
     out = []
     for row in result.rows:
         entry: dict[str, Any] = {}
         for name, value in zip(result.columns, row):
-            entry[f"{table.name}.{name}"] = value
+            entry[f"{table_name}.{name}"] = value
             entry[name] = value
         out.append(entry)
     return out
@@ -60,7 +62,7 @@ def render_result_table(
         headers += "<th>Operations</th>"
 
     body_rows = []
-    for row_dict in result_rows_as_dicts(table, result):
+    for row_dict in result_rows_as_dicts(table.name, result):
         cells = []
         for column in columns:
             value = row_dict.get(column.colid)

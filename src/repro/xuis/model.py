@@ -28,7 +28,8 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import XuisError
+from repro.errors import TypeMismatchError, XuisError
+from repro.sqldb.expressions import BinaryOp, ColumnRef, Like, Literal
 
 __all__ = [
     "XuisDocument",
@@ -48,9 +49,6 @@ __all__ = [
     "UploadSpec",
     "parse_colid",
 ]
-
-_CONDITION_OPS = ("eq", "ne", "lt", "le", "gt", "ge", "like")
-
 
 def parse_colid(colid: str) -> tuple[str, str]:
     """Split a ``TABLE.COLUMN`` identifier.
@@ -133,69 +131,56 @@ class Condition:
     Conditions gate when an operation/upload applies to a row: e.g. the
     GetImage operation only applies to rows whose SIMULATION_KEY equals
     ``'S19990110150932'``.
+
+    A condition means what the SQL ``WHERE <column> <op> ?`` means: it
+    compiles once into a :mod:`repro.sqldb.expressions` closure over a
+    one-slot row, so DATE columns parse ISO strings, CHAR padding is
+    ignored and NULL never matches.
     """
 
-    __slots__ = ("colid", "op", "value")
+    #: XUIS operator element -> SQL operator
+    SQL_OPS = {
+        "eq": "=", "ne": "<>", "lt": "<", "le": "<=",
+        "gt": ">", "ge": ">=", "like": "LIKE",
+    }
+
+    __slots__ = ("colid", "op", "value", "_column", "_test")
 
     def __init__(self, colid: str, op: str, value: Any) -> None:
         op = op.lower()
-        if op not in _CONDITION_OPS:
+        if op not in self.SQL_OPS:
             raise XuisError(f"unknown condition operator {op!r}")
         self.colid = colid.upper()
         self.op = op
         self.value = value
+        self._column = self.colid.rpartition(".")[2]
+        slot, expected = ColumnRef("V"), Literal(value)
+        if op == "like":
+            node = Like(slot, expected)
+        else:
+            node = BinaryOp(self.sql_op, slot, expected)
+        self._test = node.compile({"V": 0}.get)
+
+    @property
+    def sql_op(self) -> str:
+        return self.SQL_OPS[self.op]
 
     def matches(self, row: dict[str, Any]) -> bool:
         """Evaluate against a row dict keyed by ``TABLE.COLUMN`` (and bare
-        column names)."""
-        table, column = parse_colid(self.colid)
+        column names); a row without the column is not matched."""
         if self.colid in row:
             actual = row[self.colid]
-        elif column in row:
-            actual = row[column]
+        elif self._column in row:
+            actual = row[self._column]
         else:
             return False
-        if actual is None:
-            return False
-        expected = self.value
-        actual_cmp = _comparable(actual)
-        expected_cmp = _comparable(expected)
-        if self.op == "eq":
-            return actual_cmp == expected_cmp
-        if self.op == "ne":
-            return actual_cmp != expected_cmp
-        if self.op == "like":
-            from repro.sqldb.expressions import Like
-
-            return bool(Like.compile_pattern(str(expected)).match(str(actual_cmp)))
         try:
-            if self.op == "lt":
-                return actual_cmp < expected_cmp
-            if self.op == "le":
-                return actual_cmp <= expected_cmp
-            if self.op == "gt":
-                return actual_cmp > expected_cmp
-            return actual_cmp >= expected_cmp
-        except TypeError:
-            raise XuisError(
-                f"condition on {self.colid}: cannot compare "
-                f"{type(actual).__name__} with {type(expected).__name__}"
-            ) from None
+            return self._test((actual,)) is True
+        except TypeMismatchError as exc:
+            raise XuisError(f"condition on {self.colid}: {exc}") from None
 
     def __repr__(self) -> str:
         return f"Condition({self.colid} {self.op} {self.value!r})"
-
-
-def _comparable(value: Any) -> Any:
-    from repro.sqldb.types import Clob, DatalinkValue
-
-    if isinstance(value, Clob):
-        return value.text
-    if isinstance(value, DatalinkValue):
-        return value.url
-    if isinstance(value, str):
-        return value.rstrip()
-    return value
 
 
 class DatabaseResultLocation:

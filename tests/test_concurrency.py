@@ -331,6 +331,19 @@ class TestSnapshotReads:
         assert db.execute("SELECT V FROM ACCT WHERE K = 99").rows == []
         writer.execute("ROLLBACK")
 
+    def test_systables_row_count_reads_at_the_snapshot(self):
+        db, _total = _transfer_db()
+        writer, reader = db.connect(), db.connect()
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO ACCT VALUES (99, 1)")
+        count_sql = "SELECT ROW_COUNT FROM SYSTABLES WHERE TABLE_NAME = 'ACCT'"
+        assert reader.execute(count_sql).scalar() == 8
+        assert reader.execute("SELECT COUNT(*) FROM ACCT").scalar() == 8
+        # the writer counts its own uncommitted row
+        assert writer.execute(count_sql).scalar() == 9
+        writer.execute("COMMIT")
+        assert reader.execute(count_sql).scalar() == 9
+
     def test_transaction_reads_committed_state_before_its_first_write(self):
         db, total = _transfer_db()
         writer, reader = db.connect(), db.connect()
