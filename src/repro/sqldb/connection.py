@@ -131,9 +131,16 @@ class TableSnapshot:
     """One :class:`~repro.sqldb.storage.Table` as of a snapshot sequence,
     presenting the executor's table interface.
 
-    The live indexes serve every access path; :meth:`rows` turns their
-    candidates into the rows visible at the snapshot, a superset of the
-    matches that the executor filters again.
+    The live indexes serve every access path; :meth:`rows` and
+    :meth:`lookup` turn their candidates into the rows visible at the
+    snapshot, a superset of the matches that the executor filters again.
+
+    One snapshot serves one statement.  The version at the snapshot of a
+    rowid written after it cannot change while the snapshot is
+    registered, and such a rowid stays written after it, so
+    :meth:`lookup` reads each one's version once per statement and files
+    it under its key in each probed index; it reads the marks again only
+    when the heap's ``mark_count`` moved.
     """
 
     def __init__(self, table, snapshot: int) -> None:
@@ -142,6 +149,12 @@ class TableSnapshot:
         self.schema = table.schema
         self.indexes = dict(table.indexes)
         self._visible: list[tuple[int, tuple]] | None = None
+        #: rowid written after the snapshot -> its version there (or None)
+        self._late: dict[int, tuple | None] = {}
+        #: index name -> key -> late rowids whose version has that key
+        self._late_keys: dict[str, dict[tuple, list[int]]] = {}
+        #: the heap's mark_count when ``_late`` was last brought up to date
+        self._marks_read: int | None = None
 
     def _scanned(self) -> list[tuple[int, tuple]]:
         if self._visible is None:
@@ -154,6 +167,40 @@ class TableSnapshot:
     def rows(self, rowids) -> list[tuple]:
         """The visible rows for index candidates ``rowids``."""
         return self._table.heap.rows_at(rowids, self.snapshot)
+
+    def lookup(self, index, key: tuple) -> list[tuple]:
+        """The visible rows whose ``index`` key is ``key``: the live
+        candidates not written after the snapshot, then, in rowid order,
+        the versions of rowids written after it whose key there is
+        ``key``.  Reads the index, then the live rows, then the marks."""
+        heap = self._table.heap
+        pairs = heap.live_pairs(index.find_sorted(key))
+        known = self._late
+        marks = heap.mark_count
+        if marks != self._marks_read:
+            self._marks_read = marks
+            new = [
+                rowid for rowid in heap.late_rowids(self.snapshot)
+                if rowid not in known
+            ]
+            for rowid in new:
+                known[rowid] = heap.version_at(rowid, self.snapshot)
+            if new:
+                self._late_keys.clear()
+        if not known:
+            return [row for _rowid, row in pairs]
+        by_key = self._late_keys.get(index.name)
+        if by_key is None:
+            by_key = self._late_keys[index.name] = {}
+            positions = [self.schema.column_index(c) for c in index.columns]
+            for rowid in sorted(known):
+                version = known[rowid]
+                if version is not None:
+                    version_key = tuple([version[p] for p in positions])
+                    by_key.setdefault(version_key, []).append(rowid)
+        out = [row for rowid, row in pairs if rowid not in known]
+        out.extend(known[rowid] for rowid in by_key.get(key, ()))
+        return out
 
     def index_leading_on(self, column: str):
         return self._table.index_leading_on(column)

@@ -78,11 +78,15 @@ class Result:
         rows: list[tuple] | None = None,
         rowcount: int = 0,
         plan: list[str] | None = None,
+        matched_rows: int | None = None,
     ) -> None:
         self.columns = columns or []
         self.rows = rows or []
         self.rowcount = rowcount
         self.plan = plan or []
+        #: a SELECT's row count before its LIMIT/OFFSET, at the same
+        #: snapshot as ``rows`` (:attr:`SelectResult.matched_rows`)
+        self.matched_rows = matched_rows
 
     def scalar(self) -> Any:
         """First column of the first row (None when empty)."""
@@ -926,7 +930,8 @@ class Database:
                        executor: Executor) -> Result:
         result = executor.execute_select(stmt, params)
         rows = self._decorate_datalinks(result)
-        return Result(result.columns, rows, rowcount=len(rows), plan=result.plan)
+        return Result(result.columns, rows, rowcount=len(rows), plan=result.plan,
+                      matched_rows=result.matched_rows)
 
     def _decorate_datalinks(self, result: SelectResult) -> list[tuple]:
         """Attach access tokens (and sizes) to DATALINK values in results."""

@@ -36,7 +36,7 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
-from repro.errors import CatalogError, SqlSyntaxError
+from repro.errors import CatalogError, SqlSyntaxError, TypeMismatchError
 from repro.sqldb.expressions import (
     AggregateCall,
     ColumnRef,
@@ -58,7 +58,7 @@ from repro.sqldb.planner import (
     range_bounds,
     single_alias_filters,
 )
-from repro.sqldb.storage import SortedIndex, _NullsFirstKey
+from repro.sqldb.storage import SortedIndex, _NullsFirstKey, nulls_first_rank
 
 __all__ = ["Executor", "SelectResult"]
 
@@ -74,9 +74,15 @@ class SelectResult:
         items: list[SelectItem] | None = None,
         alias_tables: dict[str, str] | None = None,
         step_stats: "dict[int, _StepStats] | None" = None,
+        matched_rows: int | None = None,
     ) -> None:
         self.columns = columns
         self.rows = rows
+        #: rows that reached ORDER BY / LIMIT / OFFSET (after WHERE,
+        #: grouping and DISTINCT): the result's size without LIMIT and
+        #: OFFSET, read at the statement's snapshot; None when a LIMIT
+        #: without ORDER BY stopped reading early
+        self.matched_rows = matched_rows
         #: access-path descriptions, surfaced through Database.explain()
         self.plan = plan
         #: expanded select items (stars resolved); lets the database layer
@@ -239,23 +245,34 @@ class Executor:
             if instrument is not None:
                 rows = _timed_iter(rows, self._stats_slot(step_stats, plan))
 
-        # Only the rows that survive ORDER BY / LIMIT / OFFSET are projected.
+        # Only the rows that survive ORDER BY / LIMIT / OFFSET are projected;
+        # every row that reaches this step is counted (matched_rows).
         offset = stmt.offset or 0
+        matched: int | None = None
         if stmt.order_by:
             order_key = _compile_order_key(
                 stmt.order_by, alias_exprs, resolve, params
             )
             started = perf_counter()
+            rows = list(rows)
+            matched = len(rows)
             if stmt.limit is not None:
                 top = stmt.limit + offset
                 plan.append(
                     f"top-N sort (N={top}) on "
                     f"{len(stmt.order_by)} key(s)"
                 )
-                kept = nsmallest(top, rows, key=order_key)
             else:
                 plan.append(f"sort on {len(stmt.order_by)} key(s)")
-                kept = sorted(rows, key=order_key)
+            try:
+                if stmt.limit is not None:
+                    kept = nsmallest(top, rows, key=order_key)
+                else:
+                    kept = sorted(rows, key=order_key)
+            except TypeError as exc:
+                raise TypeMismatchError(
+                    f"ORDER BY compares values of incomparable types: {exc}"
+                ) from None
             self._record_step(step_stats, plan, len(kept),
                               perf_counter() - started)
             # the top-N heap holds at most offset + limit rows
@@ -265,12 +282,14 @@ class Executor:
             kept = list(islice(rows, offset, offset + stmt.limit))
             self._record_step(step_stats, plan, len(kept), 0.0)
         else:
-            kept = islice(rows, offset, None)
+            kept = list(rows)
+            matched = len(kept)
+            kept = kept[offset:]
 
         alias_tables = {b.alias: b.schema.name for b in bound}
         return SelectResult(
             columns, [project(row) for row in kept], plan, items,
-            alias_tables, step_stats=step_stats,
+            alias_tables, step_stats=step_stats, matched_rows=matched,
         )
 
     # -- result-shaping helpers -------------------------------------------------
@@ -530,7 +549,7 @@ class Executor:
                     f"index lookup {entry.alias} via {best.name} "
                     f"({', '.join(best.columns)} = {key!r})"
                 )
-                rows = entry.table.rows(best.find_sorted(key))
+                rows = entry.table.lookup(best, key)
                 self.rows_scanned += len(rows)
                 return iter(rows)
 
@@ -796,7 +815,7 @@ class _JoinStep:
         for outer in outer_rows:
             value = outer_key(outer)
             candidates = (
-                table.rows(index.find_sorted((value,)))
+                table.lookup(index, (value,))
                 if value is not None
                 else []
             )
@@ -924,30 +943,31 @@ def _conjunction(predicates: Sequence[Expression], resolve: Resolver,
 
 def _compile_order_key(orders, alias_exprs: dict[str, Expression],
                        resolve: Resolver, params: Sequence[Any]):
+    """Each row's sort key, built once per row: the NULLs-first rank of
+    every ORDER BY value, DESC parts wrapped in :class:`_Descending`.
+    Sorts compare these keys natively and keep ties in arrival order."""
     values = _compile_tuple(
         [_unalias(order.expr, alias_exprs) for order in orders], resolve, params
     )
+    if all(order.ascending for order in orders):
+        return lambda row: tuple(map(nulls_first_rank, values(row)))
     directions = [order.ascending for order in orders]
     return lambda row: tuple([
-        _SortPart(_NullsFirstKey((value,)), ascending)
-        for value, ascending in zip(values(row), directions)
+        rank if ascending else _Descending(rank)
+        for rank, ascending in zip(map(nulls_first_rank, values(row)), directions)
     ])
 
 
-class _SortPart:
-    """Sort key element honouring ASC/DESC with NULLs-first semantics."""
+class _Descending:
+    """A DESC sort key part: orders its rank in reverse."""
 
-    __slots__ = ("key", "ascending")
+    __slots__ = ("rank",)
 
-    def __init__(self, key: _NullsFirstKey, ascending: bool) -> None:
-        self.key = key
-        self.ascending = ascending
+    def __init__(self, rank: tuple) -> None:
+        self.rank = rank
 
-    def __lt__(self, other: "_SortPart") -> bool:
-        if self.key == other.key:
-            return False
-        less = self.key < other.key
-        return less if self.ascending else not less
+    def __lt__(self, other: "_Descending") -> bool:
+        return other.rank < self.rank
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortPart) and self.key == other.key
+        return self.rank == other.rank

@@ -35,10 +35,11 @@ The two sides order their steps so that no lock is needed (dict reads
 and writes are atomic under the GIL; only a :class:`SortedIndex` guards
 its list):
 
-* the writer records history first, then the mark, then the live row,
-  then the indexes;
+* the writer records history first, then the mark (and bumps the
+  heap's ``mark_count``), then the live row, then the indexes;
 * a reader takes index candidates first, then the live rows, then the
-  marks.
+  marks (or ``mark_count``, to learn that no mark changed since it last
+  read them).
 
 So a reader that sees a new live row or index entry also sees its mark,
 and the history the mark points to.  Index reads at a snapshot add every
@@ -93,6 +94,8 @@ class Heap:
         self.clock = clock if clock is not None else VersionClock()
         #: rowid -> sequence of its latest write (the write marks)
         self._written: dict[int, int] = {}
+        #: count of marks written, bumped right after each one
+        self.mark_count = 0
         #: rowid -> [(created, deleted, row), ...] superseded versions
         self._history: dict[int, list[tuple[int, int, tuple]]] = {}
 
@@ -110,6 +113,7 @@ class Heap:
                 raise CatalogError(f"rowid {rowid} already present")
             self._next_rowid = max(self._next_rowid, rowid + 1)
         self._written[rowid] = self.clock.pending
+        self.mark_count += 1
         self._rows[rowid] = row
         return rowid
 
@@ -121,6 +125,7 @@ class Heap:
         if written < pending:
             self._history.setdefault(rowid, []).append((written, pending, row))
         self._written[rowid] = pending
+        self.mark_count += 1
 
     def delete(self, rowid: int) -> tuple:
         row = self.get(rowid)
@@ -165,27 +170,35 @@ class Heap:
         """The rows visible at ``snapshot`` among the index candidates
         ``rowids``, plus every rowid written after ``snapshot`` (its
         version there may match where its live row no longer does)."""
-        live = self._rows
-        pairs = [(rowid, live.get(rowid)) for rowid in rowids]
+        pairs = self.live_pairs(rowids)
         return [row for _rowid, row in self._at(pairs, snapshot)]
+
+    def live_pairs(self, rowids) -> list[tuple[int, tuple | None]]:
+        """``(rowid, live row or None)`` for index candidates ``rowids``."""
+        live = self._rows
+        return [(rowid, live.get(rowid)) for rowid in rowids]
+
+    def late_rowids(self, snapshot: int) -> list[int]:
+        """The rowids written after ``snapshot``, read from the marks.
+        No mark is later than ``clock.pending``, the writer's own reads."""
+        if not self._written or snapshot >= self.clock.pending:
+            return []
+        return [
+            rowid for rowid, seq in list(self._written.items())
+            if seq > snapshot
+        ]
 
     def _at(self, pairs: list[tuple[int, tuple]],
             snapshot: int) -> list[tuple[int, tuple]]:
         """Correct live ``pairs`` by the marks, read after them: each
         rowid written after ``snapshot`` is replaced by its version at
-        ``snapshot``, appended in rowid order, or dropped without one.
-        No mark is later than ``clock.pending``, the writer's own reads."""
-        if not self._written or snapshot >= self.clock.pending:
-            return pairs
-        late = {
-            rowid for rowid, seq in list(self._written.items())
-            if seq > snapshot
-        }
+        ``snapshot``, appended in rowid order, or dropped without one."""
+        late = set(self.late_rowids(snapshot))
         if not late:
             return pairs
         out = [pair for pair in pairs if pair[0] not in late]
         for rowid in sorted(late):
-            row = self._version_at(rowid, snapshot)
+            row = self.version_at(rowid, snapshot)
             if row is not None:
                 out.append((rowid, row))
         return out
@@ -195,9 +208,11 @@ class Heap:
         row = self._rows.get(rowid)
         if self._written.get(rowid, 0) <= snapshot:
             return row
-        return self._version_at(rowid, snapshot)
+        return self.version_at(rowid, snapshot)
 
-    def _version_at(self, rowid: int, snapshot: int) -> tuple | None:
+    def version_at(self, rowid: int, snapshot: int) -> tuple | None:
+        """The superseded version of ``rowid`` visible at ``snapshot``
+        (for a rowid written after it), or None."""
         for created, deleted, row in list(self._history.get(rowid, ())):
             if created <= snapshot < deleted:
                 return row
@@ -236,10 +251,25 @@ class Heap:
         return len(self._rows)
 
 
+def nulls_first_rank(value: Any) -> tuple:
+    """The sort rank of one value: NULL first, then booleans, numbers, and
+    every other value by itself.  Values with no order of their own (BLOB,
+    CLOB, DATALINK) rank by their text."""
+    if value is None:
+        return (0, 0)
+    if isinstance(value, bool):
+        return (1, int(value))
+    if isinstance(value, (int, float)):
+        return (2, value)
+    if type(value).__lt__ is object.__lt__:
+        return (3, str((value,)))
+    return (3, value)
+
+
 class _NullsFirstKey:
-    """Total order over heterogeneous index keys: NULLs sort first, then by
-    value.  Only comparable values land in the same index, so the fallback
-    to type-name ordering is defensive."""
+    """Total order over heterogeneous index keys by :func:`nulls_first_rank`.
+    Only comparable values land in the same index, so the fallback to
+    text ordering is defensive."""
 
     __slots__ = ("key",)
 
@@ -247,17 +277,7 @@ class _NullsFirstKey:
         self.key = key
 
     def _rank(self) -> tuple:
-        out = []
-        for part in self.key:
-            if part is None:
-                out.append((0, 0))
-            elif isinstance(part, bool):
-                out.append((1, int(part)))
-            elif isinstance(part, (int, float)):
-                out.append((2, part))
-            else:
-                out.append((3, part))
-        return tuple(out)
+        return tuple([nulls_first_rank(part) for part in self.key])
 
     def __lt__(self, other: "_NullsFirstKey") -> bool:
         try:

@@ -233,6 +233,14 @@ class EasiaApp:
         return Response.html(render_query_form(table))
 
     def _search(self, request: Request) -> Response:
+        """QBE submission -> one page of the hyperlinked result table.
+
+        One statement answers the page: its ``ORDER BY ... LIMIT ...
+        OFFSET`` yields the page's rows, and its matched-row count
+        (:attr:`Result.matched_rows`, read at the same snapshot as the
+        rows) the pagination total.  A ``limit`` caps the rows the search
+        reaches; ``page``/``page_size`` page through at most that many.
+        """
         user = request.require_user()
         document = self.document_for(user)
         table_name = request.require_param("table")
@@ -243,21 +251,25 @@ class EasiaApp:
 
         page_number = max(1, _int_param(request, "page", 1))
         page_size = max(1, _int_param(request, "page_size", 50))
-        if query.limit is None:
-            query.limit = page_size
-            query.offset = (page_number - 1) * page_size
+        cap = query.limit
+        query.offset = (page_number - 1) * page_size
+        query.limit = (
+            page_size if cap is None
+            else max(0, min(page_size, cap - query.offset))
+        )
         # Pagination is only meaningful over a deterministic order: default
         # to the primary key (the engine runs ORDER BY ... LIMIT as top-N).
-        visible = {c.colid for c in table.visible_columns()}
-        candidates = [c for c in table.primary_key if c in visible]
-        if not candidates and table.visible_columns():
-            candidates = [table.visible_columns()[0].colid]
+        visible = [c.colid for c in table.visible_columns()]
+        candidates = [c for c in table.primary_key if c in visible] or visible
         query.ensure_order(candidates)
-        count_sql, count_params = query.count_sql()
-        total = self.db.execute(count_sql, count_params).scalar() or 0
+        if query.order_by is None:
+            raise WebError(f"table {table.name} has no queryable columns")
 
         sql, params = query.to_sql(table)
         result = self.db.execute(sql, params)
+        total = result.matched_rows
+        if cap is not None:
+            total = min(total, cap)
         footer = self._pagination_footer(
             request, page_number, page_size, total
         )

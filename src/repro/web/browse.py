@@ -37,13 +37,18 @@ class CellRenderer:
     """Turns raw column values into the hyperlinked HTML cells.
 
     One renderer serves one result table, so it memoises foreign-key
-    substitutes: a page of N rows over K distinct keys runs K lookups."""
+    substitutes (a page of N rows over K distinct keys runs K lookups)
+    and builds each column's link prefixes once: a cell then quotes only
+    its own values.  Quoted text holds no HTML-special character, so it
+    goes into an escaped prefix unescaped."""
 
     def __init__(self, db: Database, document: XuisDocument) -> None:
         self._db = db
         self._document = document
         #: (FK colid, value) -> substitute display value
         self._substitutes: dict[tuple[str, Any], Any] = {}
+        #: (kind, colid) -> the column's escaped link prefixes
+        self._prefixes: dict[tuple[str, str], Any] = {}
 
     def render(self, table: XuisTable, column: XuisColumn, value: Any,
                row: dict[str, Any]) -> str:
@@ -74,17 +79,23 @@ class CellRenderer:
 
     def _render_lob(self, table: XuisTable, column: XuisColumn, value,
                     row: dict[str, Any]) -> str:
-        key_params = []
-        for pk_colid in table.primary_key:
-            if pk_colid in row and row[pk_colid] is not None:
-                _t, pk_col = parse_colid(pk_colid)
-                key_params.append(f"key_{_q(pk_col)}={_q(row[pk_colid])}")
-        href = (
-            f"/lob?table={_q(table.name)}&column={_q(column.name)}"
-            + ("&" + "&".join(key_params) if key_params else "")
+        prefixes = self._prefixes.get(("lob", column.colid))
+        if prefixes is None:
+            href = f"/lob?table={_q(table.name)}&column={_q(column.name)}"
+            keys = [
+                (pk_colid, escape(f"&key_{_q(parse_colid(pk_colid)[1])}="))
+                for pk_colid in table.primary_key
+            ]
+            prefixes = self._prefixes[("lob", column.colid)] = (
+                f'<a class="lob" href="{escape(href)}', keys,
+            )
+        head, keys = prefixes
+        key_params = "".join(
+            f"{key}{_q(row[pk_colid])}" for pk_colid, key in keys
+            if pk_colid in row and row[pk_colid] is not None
         )
         label = f"{len(value)} " + ("bytes" if isinstance(value, Blob) else "chars")
-        return f'<a class="lob" href="{escape(href)}">{escape(label)}</a>'
+        return f'{head}{key_params}">{escape(label)}</a>'
 
     # -- foreign keys ------------------------------------------------------------
 
@@ -94,10 +105,13 @@ class CellRenderer:
             substituted = self._lookup_substitute(column, value)
             if substituted is not None:
                 display = substituted
-        href = (
-            f"/browse/fk?colid={_q(column.colid)}&value={_q(value)}"
-        )
-        return f'<a class="fk" href="{escape(href)}">{escape(display)}</a>'
+        head = self._prefixes.get(("fk", column.colid))
+        if head is None:
+            href = f"/browse/fk?colid={_q(column.colid)}&value="
+            head = self._prefixes[("fk", column.colid)] = (
+                f'<a class="fk" href="{escape(href)}'
+            )
+        return f'{head}{_q(value)}">{escape(display)}</a>'
 
     def _lookup_substitute(self, column: XuisColumn, value: Any) -> Any:
         """Fetch the substitute display value from the referenced table."""
@@ -116,14 +130,20 @@ class CellRenderer:
     def _render_pk(self, column: XuisColumn, value: Any) -> str:
         """The paper's customised PK rendering: one link per referencing
         table, labelled with that table's alias."""
+        refs = self._prefixes.get(("pk", column.colid))
+        if refs is None:
+            refs = []
+            for ref in column.pk.refby:
+                ref_table, _ref_column = parse_colid(ref)
+                label = ref_table
+                if self._document.has_table(ref_table):
+                    label = self._document.table(ref_table).display_name
+                href = f"/browse/pk?ref={_q(ref)}&value="
+                refs.append((
+                    f'<a class="pk" href="{escape(href)}', f'">{escape(label)}</a>',
+                ))
+            self._prefixes[("pk", column.colid)] = refs
+        quoted = _q(value)
         links = [escape(value)]
-        for ref in column.pk.refby:
-            ref_table, _ref_column = parse_colid(ref)
-            label = ref_table
-            if self._document.has_table(ref_table):
-                label = self._document.table(ref_table).display_name
-            href = f"/browse/pk?ref={_q(ref)}&value={_q(value)}"
-            links.append(
-                f'<a class="pk" href="{escape(href)}">{escape(label)}</a>'
-            )
+        links.extend(f"{head}{quoted}{tail}" for head, tail in refs)
         return " ".join(links)

@@ -142,7 +142,9 @@ class QbeQuery:
         return " ".join(sql), params
 
     def count_sql(self) -> tuple[str, tuple]:
-        """A COUNT(*) over the same restrictions (drives pagination)."""
+        """A COUNT(*) over the same restrictions.  ``/search`` does not
+        need it: the page query's :attr:`Result.matched_rows` is its
+        total, read at the same snapshot as the rows."""
         where, params = self._where()
         return f"SELECT COUNT(*) FROM {self.table}{where}", params
 
@@ -181,7 +183,8 @@ def build_query_from_params(table: str, params: dict[str, Any]) -> QbeQuery:
     * ``op_<COLUMN>`` = operator     — restriction operator,
     * ``val_<COLUMN>`` = text        — restriction value ('' = no restriction),
     * ``order_by`` / ``order_dir``   — sorting,
-    * ``limit``                      — row cap.
+    * ``limit``                      — cap on the rows the search reaches
+      (``/search`` pages through at most that many).
     """
     table = table.upper()
     fields: list[str] = []

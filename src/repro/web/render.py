@@ -4,6 +4,11 @@ Produces the paper's result tables: column headers use XUIS aliases,
 cells carry the browse hyperlinks, and rows whose DATALINK column has
 applicable operations get "Operations" links (plus an "Upload code" link
 where the XUIS permits it for the current user).
+
+A page does each piece of work once: the links the user may see are
+built, quoted and escaped once per page, each link's XUIS conditions are
+evaluated once per distinct tuple of the values they read, and a row
+adds only its quoted primary-key parameters.
 """
 
 from __future__ import annotations
@@ -47,30 +52,37 @@ def render_result_table(
     """HTML for a query result against ``table_name``.
 
     ``footer_html`` (e.g. pagination links) is appended below the table.
+    The Operations column's links are built once per page
+    (:class:`_OperationLinks`); per row only the key parameters change.
     """
     table = document.table(table_name)
     renderer = CellRenderer(db, document)
     columns = [
         table.column(name) for name in result.columns if table.has_column(name)
     ]
-    operations_column = _operations_apply(table, columns)
+    operations = (
+        _OperationLinks(table, result.columns, user)
+        if any(c.operations or c.upload is not None for c in columns)
+        else None
+    )
 
     headers = "".join(
         f"<th>{escape(column.display_name)}</th>" for column in columns
     )
-    if operations_column:
+    if operations is not None:
         headers += "<th>Operations</th>"
 
     body_rows = []
-    for row_dict in result_rows_as_dicts(table.name, result):
+    for row, row_dict in zip(result.rows,
+                             result_rows_as_dicts(table.name, result)):
         cells = []
         for column in columns:
             value = row_dict.get(column.colid)
             cells.append(
                 f"<td>{renderer.render(table, column, value, row_dict)}</td>"
             )
-        if operations_column:
-            cells.append(f"<td>{_render_operations_cell(table, row_dict, user)}</td>")
+        if operations is not None:
+            cells.append(f"<td>{operations.cell(row)}</td>")
         body_rows.append("<tr>" + "".join(cells) + "</tr>")
 
     count = len(result.rows)
@@ -82,48 +94,77 @@ def render_result_table(
     return page(f"Results: {table.display_name}", body)
 
 
-def _operations_apply(table: XuisTable, columns) -> bool:
-    return any(c.operations or c.upload is not None for c in columns)
+class _OperationLinks:
+    """The Operations cell of one result page.
 
+    Built once per page: the operation and upload links ``user`` may see,
+    each with its link prefix quoted and escaped, its conditions' columns
+    resolved to result positions, and its primary-key parameters' names
+    quoted.  A row then costs one quoting of its key values, and each
+    link's ``applies_to`` runs once per distinct tuple of the values its
+    conditions read.
+    """
 
-def _row_key_params(table: XuisTable, row_dict: dict[str, Any]) -> str:
-    parts = []
-    for pk_colid in table.primary_key:
-        value = row_dict.get(pk_colid)
-        if value is not None:
-            column = pk_colid.split(".", 1)[1]
-            parts.append(f"key_{quote_plus(column)}={quote_plus(str(value))}")
-    return "&".join(parts)
+    def __init__(self, table: XuisTable, result_columns: list[str],
+                 user: User | None) -> None:
+        # the last of duplicate names wins, as in result_rows_as_dicts
+        position = {name: i for i, name in enumerate(result_columns)}
+        prefix = f"{table.name}."
+        #: ``key_<COLUMN>=`` and the column's position, per PK column
+        #: shown (quoted text needs no HTML escaping)
+        self._keys = [
+            (f"key_{quote_plus(colid[len(prefix):])}=",
+             position[colid[len(prefix):]])
+            for colid in table.primary_key
+            if colid.startswith(prefix) and colid[len(prefix):] in position
+        ]
+        #: (spec, link head, link tail, condition colids and positions,
+        #: applicability by condition values)
+        self._links: list[tuple] = []
+        for column in table.columns:
+            colid = quote_plus(column.colid)
+            for operation in column.operations:
+                if user is not None and not user.can_run_operation(operation):
+                    continue
+                name = quote_plus(operation.name)
+                self._add(operation, position, "operation",
+                          f"/operation/form?name={name}&colid={colid}&",
+                          escape(operation.name))
+            upload = column.upload
+            if upload is not None and (
+                user is None or user.can_upload_code or upload.guest_access
+            ):
+                self._add(upload, position, "upload",
+                          f"/upload/form?colid={colid}&", "Upload code")
 
+    def _add(self, spec, position: dict[str, int], css_class: str,
+             href: str, label_html: str) -> None:
+        # a condition reads its column's value from the row, whichever
+        # table its colid names (Condition.matches)
+        read = [
+            (condition.colid, position[name])
+            for condition in spec.conditions
+            if (name := condition.colid.rpartition(".")[2]) in position
+        ]
+        self._links.append((
+            spec, f'<a class="{css_class}" href="{escape(href)}',
+            f'">{label_html}</a>', read, {},
+        ))
 
-def _render_operations_cell(table: XuisTable, row_dict: dict[str, Any],
-                            user: User | None) -> str:
-    """Links for each operation applicable to this row, per the XUIS
-    conditions and the user's guest restrictions."""
-    links = []
-    key_params = _row_key_params(table, row_dict)
-    for column in table.columns:
-        for operation in column.operations:
-            if not operation.applies_to(row_dict):
-                continue
-            if user is not None and not user.can_run_operation(operation):
-                continue
-            href = (
-                f"/operation/form?name={quote_plus(operation.name)}"
-                f"&colid={quote_plus(column.colid)}&{key_params}"
-            )
-            links.append(
-                f'<a class="operation" href="{escape(href)}">'
-                f"{escape(operation.name)}</a>"
-            )
-        upload = column.upload
-        if upload is not None and upload.applies_to(row_dict):
-            allowed = user is None or user.can_upload_code or upload.guest_access
-            if allowed:
-                href = (
-                    f"/upload/form?colid={quote_plus(column.colid)}&{key_params}"
+    def cell(self, row: tuple) -> str:
+        """The links that apply to ``row``, space-separated."""
+        keys = "&amp;".join([
+            f"{name}{quote_plus(str(row[i]))}"
+            for name, i in self._keys if row[i] is not None
+        ])
+        links = []
+        for spec, head, tail, read, applies in self._links:
+            values = tuple([row[i] for _colid, i in read])
+            applicable = applies.get(values)
+            if applicable is None:
+                applicable = applies[values] = spec.applies_to(
+                    {colid: row[i] for colid, i in read}
                 )
-                links.append(
-                    f'<a class="upload" href="{escape(href)}">Upload code</a>'
-                )
-    return " ".join(links)
+            if applicable:
+                links.append(head + keys + tail)
+        return " ".join(links)

@@ -377,6 +377,94 @@ class TestSnapshotReads:
             assert reader.rows_scanned - before <= 1 + written
         writer.execute("ROLLBACK")
 
+    def test_index_join_beside_open_writer_reads_each_late_row_once(self):
+        # each probe adds only the rows written after the snapshot whose
+        # version there has the probed key, not every row the writer wrote
+        db = Database()
+        db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
+        db.execute("CREATE TABLE O (ID INTEGER PRIMARY KEY, TK INTEGER)")
+        with db.transaction():
+            for k in range(5000):
+                db.execute("INSERT INTO T VALUES (?, ?)", (k, k))
+            for i in range(300):
+                db.execute("INSERT INTO O VALUES (?, ?)", (i, i * 7))
+        sql = "SELECT O.ID, T.V FROM O JOIN T ON O.TK = T.K"
+        expected = sorted((i, i * 7) for i in range(300))
+        writer, reader = db.connect(), db.connect()
+        writer.execute("BEGIN")
+        writer.execute("UPDATE T SET V = -1 WHERE K < 100")
+        # moved keys: the old key must still find the row, the new one not
+        writer.execute("UPDATE T SET K = K + 100000 WHERE K >= 14 AND K < 28")
+        written = 114
+        plan = reader.execute("EXPLAIN " + sql).rows
+        assert plan[1][0].startswith("index nested-loop join T via PK_T")
+        before = reader.rows_scanned
+        assert sorted(reader.execute(sql).rows) == expected
+        # 300 outer rows, one inner row per probe
+        assert reader.rows_scanned - before <= 600 + written
+        writer.execute("ROLLBACK")
+
+    def test_no_torn_index_joins_while_keys_move(self):
+        """A writer moves rows between primary keys K and K + 1000 while
+        readers sum them through a PK index join over both keys: every
+        statement must see the invariant total."""
+        db = Database()
+        db.execute("CREATE TABLE ACCT (K INTEGER PRIMARY KEY, V INTEGER)")
+        db.execute("CREATE TABLE KEYS (K INTEGER PRIMARY KEY)")
+        for k in range(16):
+            db.execute("INSERT INTO ACCT VALUES (?, 100)", (k,))
+            db.execute("INSERT INTO KEYS VALUES (?)", (k,))
+            db.execute("INSERT INTO KEYS VALUES (?)", (k + 1000,))
+        total = 1600
+        sql = "SELECT SUM(A.V) FROM KEYS JOIN ACCT A ON A.K = KEYS.K"
+        stop = threading.Event()
+        torn, reads, lock = [], [0], threading.Lock()
+
+        def writer():
+            conn = db.connect()
+            i = 0
+            while not stop.is_set():
+                a, b = i % 16, (i + 7) % 16
+                conn.execute("BEGIN")
+                for k in (a, b):
+                    conn.execute(
+                        "UPDATE ACCT SET K = CASE WHEN K < 1000 THEN K + 1000"
+                        " ELSE K - 1000 END WHERE K = ? OR K = ?",
+                        (k, k + 1000),
+                    )
+                conn.execute("COMMIT")
+                i += 1
+
+        def reader():
+            conn = db.connect()
+            n = 0
+            while not stop.is_set():
+                seen = conn.execute(sql).scalar()
+                n += 1
+                if seen != total:
+                    with lock:
+                        torn.append(seen)
+            with lock:
+                reads[0] += n
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=writer)]
+            threads += [threading.Thread(target=reader) for _ in range(4)]
+            for t in threads:
+                t.start()
+            time.sleep(0.6)
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert torn == []
+        assert reads[0] > 0
+        assert db.execute(sql).scalar() == total
+
 
 class TestWriterLock:
     def test_lock_timeout_is_typed_and_clean(self):
