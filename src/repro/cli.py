@@ -183,27 +183,27 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     handle = obs_mod.enable(slow_query_seconds=args.slow_query_seconds)
     archive = _build_demo(args)
-    engine = archive.make_engine(tempfile.mkdtemp(prefix="easia-obs-"))
-    app = EasiaApp(
-        archive.db, archive.linker, archive.document, archive.users, engine
-    )
-    session = app.login("guest", "guest")
-    app.get("/", session_id=session)
-    app.get(
-        "/search",
-        {"table": "SIMULATION", "show_SIMULATION_KEY": "on",
-         "show_TITLE": "on"},
-        session_id=session,
-    )
-    app.get("/table", {"name": "RESULT_FILE"}, session_id=session)
-    archive.db.execute(
-        "SELECT COUNT(*) FROM RESULT_FILE WHERE SIMULATION_KEY IS NOT NULL"
-    )
+    with tempfile.TemporaryDirectory(prefix="easia-obs-") as sandbox:
+        engine = archive.make_engine(sandbox)
+        app = EasiaApp(
+            archive.db, archive.linker, archive.document, archive.users, engine
+        )
+        session = app.login("guest", "guest")
+        app.get("/", session_id=session)
+        app.get(
+            "/search",
+            {"table": "SIMULATION", "show_SIMULATION_KEY": "on",
+             "show_TITLE": "on"},
+            session_id=session,
+        )
+        app.get("/table", {"name": "RESULT_FILE"}, session_id=session)
+        archive.db.execute(
+            "SELECT COUNT(*) FROM RESULT_FILE WHERE SIMULATION_KEY IS NOT NULL"
+        )
+        metrics = app.metrics_text()
 
     print("=== metrics ===")
-    print(handle.metrics.render_text().rstrip("\n"))
-    stats = archive.db.statement_cache_stats
-    print(f"sql.statement_cache.hit_ratio {stats['hit_ratio']:.4f}")
+    print(metrics.rstrip("\n"))
     slow = handle.slow_query.entries()
     print(f"\n=== slow queries (>= {handle.slow_query.threshold_seconds}s): "
           f"{len(slow)} ===")

@@ -190,13 +190,11 @@ class DataLinker(DatalinkHooks):
                 )
                 self.links_applied += 1
                 if obs.enabled:
-                    obs.metrics.counter("datalink.links_applied").inc()
                     obs.events.emit("datalink.link", host=server.host, path=path)
             else:
                 server.dl_unlink(path, delete=spec.on_unlink == "DELETE")
                 self.unlinks_applied += 1
                 if obs.enabled:
-                    obs.metrics.counter("datalink.unlinks_applied").inc()
                     obs.events.emit("datalink.unlink", host=server.host, path=path)
                 # Snapshot before iterating: a listener registered or
                 # removed concurrently (or by another listener) must

@@ -99,7 +99,6 @@ class TokenManager:
             self.issued_count += 1
         obs = get_observability()
         if obs.enabled:
-            obs.metrics.counter("datalink.tokens_issued").inc()
             obs.events.emit("token.issue", scope=scope, expiry=expiry)
         return f"{expiry_hex}.{_b64(signature)}"
 
@@ -137,7 +136,6 @@ class TokenManager:
                 f"token for {scope} expired at t={expiry_ms / 1000:.3f}"
             )
         if obs.enabled:
-            obs.metrics.counter("datalink.tokens_validated").inc()
             obs.events.emit("token.validate", scope=scope)
         return True
 

@@ -13,9 +13,12 @@ instrumentation substrate every layer reports through:
   slow-query log.
 
 One :class:`Observability` object bundles the three.  A module-global
-default starts in **no-op mode** — every instrument is a shared null
-object, so the hot paths (``Database.execute``, servlet dispatch, token
-issue) pay only an attribute check until someone opts in::
+default starts **disabled**: its tracer and event log are null objects
+and nothing pushes per-event metrics, so the hot paths
+(``Database.execute``, servlet dispatch, token issue) pay only an
+attribute check until someone opts in.  Its registry is a live one that
+only receives pulls: ``/metrics`` binds the components' own counters to
+whichever registry it renders, enabled or not::
 
     import repro.obs as obs
 
@@ -47,7 +50,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
 from repro.obs.tracing import NullTracer, Span, Tracer
 
@@ -71,9 +73,10 @@ __all__ = [
 class Observability:
     """Bundle of one metrics registry, one tracer and one event log.
 
-    ``enabled=False`` builds the null variants of all three, making every
-    instrumentation call a no-op; the flag itself is the hot-path guard
-    instrumented code checks before doing any extra work.
+    ``enabled=False`` builds the null tracer and event log; the flag is
+    the hot-path guard every per-event push, span and event checks first.
+    The registry is live either way, so pull instruments bound to it
+    (components' own counters) render with observability off.
     """
 
     def __init__(
@@ -85,8 +88,8 @@ class Observability:
         event_capacity: int = 1024,
     ) -> None:
         self.enabled = enabled
+        self.metrics = MetricsRegistry()
         if enabled:
-            self.metrics = MetricsRegistry()
             self.tracer = Tracer(capacity=span_capacity)
             self.events = EventLog(
                 capacity=event_capacity,
@@ -94,7 +97,6 @@ class Observability:
             )
             self.slow_query = SlowQueryLog(self.events, slow_query_seconds)
         else:
-            self.metrics = NullRegistry()
             self.tracer = NullTracer()
             self.events = NullEventLog()
             self.slow_query = NullSlowQueryLog()

@@ -4,14 +4,15 @@ Design constraints, in order:
 
 1. **Cheap on hot paths.**  A counter increment is one attribute add; a
    histogram observation is a few float operations plus a bounded-deque
-   append.  When observability is globally disabled the shared null
-   instruments make every call a no-op attribute lookup.
+   append.  Per-event pushes happen only while observability is enabled;
+   components that already keep exact counts are read on demand instead
+   (``set_function``), so every event is counted in one place.
 2. **Quantiles without dependencies.**  Histograms keep a sliding window
    of recent observations (bounded ``deque``) and compute quantiles over
    it on demand — exact for small workloads, a recency-weighted estimate
    for long-running ones, and fully deterministic either way.
 3. **Introspectable.**  ``MetricsRegistry.snapshot()`` returns plain
-   dictionaries and ``render_text()`` emits a Prometheus-flavoured text
+   dictionaries and ``render_text()`` emits the Prometheus text
    exposition, which the web layer's ``/metrics`` endpoint and the
    ``repro obs`` CLI command serve verbatim.
 
@@ -23,94 +24,104 @@ Instruments are keyed by name plus optional labels::
 
 from __future__ import annotations
 
+import math
+import re
 import threading
 from collections import deque
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullCounter",
-    "NullGauge",
-    "NullHistogram",
-    "NullRegistry",
-]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 #: histogram sliding-window size (recent observations kept for quantiles)
 DEFAULT_WINDOW = 1024
 
+#: quantiles a histogram reports (snapshot ``pNN`` fields, summary lines)
+QUANTILES = (0.5, 0.9, 0.99)
 
-def _metric_key(name: str, labels: dict[str, Any]) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
-    return f"{name}{{{inner}}}"
+_INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_]")
+_LABEL_ESCAPES = str.maketrans({"\\": "\\\\", "\n": "\\n", '"': '\\"'})
 
 
-class Counter:
-    """Monotonically increasing count."""
+def _metric_key(name: str, labels: Iterable[tuple[str, Any]]) -> str:
+    inner = ",".join(f"{k}={v}" for k, v in labels)
+    return f"{name}{{{inner}}}" if inner else name
 
-    __slots__ = ("key", "value")
 
-    kind = "counter"
+class _Instrument:
+    """Name, sorted labels and registry key shared by every instrument."""
 
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self.value = 0
+    __slots__ = ("name", "labels", "key")
+
+    kind = ""
+
+    def __init__(self, name: str, labels: dict[str, Any] | None = None) -> None:
+        self.name = name
+        self.labels = tuple(sorted((labels or {}).items()))
+        self.key = _metric_key(name, self.labels)
+
+
+class _Valued(_Instrument):
+    """A single value, pushed or pulled from ``fn()`` at read time."""
+
+    __slots__ = ("_value", "_fn")
+
+    def __init__(self, name: str, labels: dict[str, Any] | None = None) -> None:
+        super().__init__(name, labels)
+        self._value: int | float = 0
+        self._fn: Callable[[], int | float] | None = None
+
+    def set_function(self, fn: Callable[[], int | float]) -> None:
+        """Pull-style instrument: ``fn()`` is evaluated at read time, so a
+        component that already counts an event is read, not re-counted."""
+        self._fn = fn
+
+    @property
+    def value(self) -> int | float:
+        return self._value if self._fn is None else self._fn()
 
     def inc(self, amount: int | float = 1) -> None:
-        self.value += amount
+        self._value += amount
 
     def describe(self) -> dict[str, Any]:
         return {"type": self.kind, "value": self.value}
 
+    def samples(self) -> list[tuple[str, tuple, int | float]]:
+        """``(name suffix, labels, value)`` of each exposition line."""
+        return [("", self.labels, self.value)]
 
-class Gauge:
+
+class Counter(_Valued):
+    """Monotonically increasing count."""
+
+    __slots__ = ()
+
+    kind = "counter"
+
+
+class Gauge(_Valued):
     """A value that can go up and down (or be computed on read)."""
 
-    __slots__ = ("key", "_value", "_fn")
+    __slots__ = ()
 
     kind = "gauge"
-
-    def __init__(self, key: str) -> None:
-        self.key = key
-        self._value: float = 0.0
-        self._fn = None
 
     def set(self, value: float) -> None:
         self._value = value
 
-    def inc(self, amount: float = 1) -> None:
-        self._value += amount
-
     def dec(self, amount: float = 1) -> None:
         self._value -= amount
 
-    def set_function(self, fn) -> None:
-        """Pull-style gauge: ``fn()`` is evaluated at snapshot time."""
-        self._fn = fn
 
-    @property
-    def value(self) -> float:
-        if self._fn is not None:
-            return self._fn()
-        return self._value
-
-    def describe(self) -> dict[str, Any]:
-        return {"type": self.kind, "value": self.value}
-
-
-class Histogram:
+class Histogram(_Instrument):
     """Running aggregates plus a sliding window for quantile summaries."""
 
-    __slots__ = ("key", "count", "total", "min", "max", "_window")
+    __slots__ = ("count", "total", "min", "max", "_window")
 
     kind = "histogram"
 
-    def __init__(self, key: str, window: int = DEFAULT_WINDOW) -> None:
-        self.key = key
+    def __init__(self, name: str, labels: dict[str, Any] | None = None,
+                 window: int = DEFAULT_WINDOW) -> None:
+        super().__init__(name, labels)
         self.count = 0
         self.total = 0.0
         self.min = float("inf")
@@ -144,7 +155,7 @@ class Histogram:
         fraction = position - low
         return ordered[low] * (1 - fraction) + ordered[high] * fraction
 
-    def summary(self, quantiles: Iterable[float] = (0.5, 0.9, 0.99)) -> dict[str, Any]:
+    def summary(self, quantiles: Iterable[float] = QUANTILES) -> dict[str, Any]:
         out: dict[str, Any] = {
             "count": self.count,
             "sum": self.total,
@@ -158,6 +169,40 @@ class Histogram:
 
     def describe(self) -> dict[str, Any]:
         return {"type": self.kind, **self.summary()}
+
+    def samples(self) -> list[tuple[str, tuple, int | float]]:
+        """A Prometheus summary: quantile lines, then ``_sum``, ``_count``."""
+        return [
+            ("", self.labels + (("quantile", q),), self.quantile(q))
+            for q in QUANTILES
+        ] + [("_sum", self.labels, self.total), ("_count", self.labels, self.count)]
+
+
+# -- Prometheus text exposition ---------------------------------------------------
+
+
+def _exposed_name(metric: _Instrument) -> str:
+    """The family name: dots become underscores, counters end in _total."""
+    name = _INVALID_NAME_CHARS.sub("_", metric.name)
+    if metric.kind == "counter" and not name.endswith("_total"):
+        name += "_total"
+    return name
+
+
+def _label_text(labels: Iterable[tuple[str, Any]]) -> str:
+    """``{k="v",...}`` with quotes, backslashes and newlines escaped."""
+    pairs = ",".join(
+        f'{k}="{str(v).translate(_LABEL_ESCAPES)}"' for k, v in labels
+    )
+    return f"{{{pairs}}}" if pairs else ""
+
+
+def _value_text(value: int | float) -> str:
+    if isinstance(value, int):
+        return str(value)
+    if math.isfinite(value):
+        return repr(float(value))
+    return "NaN" if math.isnan(value) else ("+Inf" if value > 0 else "-Inf")
 
 
 class MetricsRegistry:
@@ -174,15 +219,17 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Any] = {}
         self._lock = threading.Lock()
+        #: keys of the pull instruments installed by :meth:`bind`
+        self._pulled: set[str] = set()
 
     def _get(self, cls, name: str, labels: dict[str, Any]):
-        key = _metric_key(name, labels)
+        key = _metric_key(name, sorted(labels.items()))
         metric = self._metrics.get(key)
         if metric is None:
             with self._lock:
                 metric = self._metrics.get(key)
                 if metric is None:
-                    metric = cls(key)
+                    metric = cls(name, labels)
                     self._metrics[key] = metric
         if not isinstance(metric, cls):
             raise TypeError(
@@ -199,107 +246,58 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get(Histogram, name, labels)
 
+    def bind(self, pulls: Iterable[tuple]) -> None:
+        """Make ``pulls`` the registry's pull instruments.
+
+        Each ``(Counter or Gauge, name, labels, fn)`` reads a count its
+        component already keeps.  Pull instruments bound earlier and not
+        listed now are dropped, so a component that is gone stops
+        reporting instead of showing its last value.
+        """
+        bound = set()
+        for cls, name, labels, fn in pulls:
+            metric = self._get(cls, name, labels)
+            metric.set_function(fn)
+            bound.add(metric.key)
+        with self._lock:
+            for key in self._pulled - bound:
+                self._metrics.pop(key, None)
+            self._pulled = bound
+
+    def _instruments(self) -> list[Any]:
+        with self._lock:
+            return list(self._metrics.values())
+
     def snapshot(self) -> dict[str, dict[str, Any]]:
         """Every instrument's current state, keyed by full metric key."""
-        with self._lock:
-            items = list(self._metrics.items())
-        return {key: metric.describe() for key, metric in sorted(items)}
+        return {
+            metric.key: metric.describe()
+            for metric in sorted(self._instruments(), key=lambda m: m.key)
+        }
 
     def render_text(self) -> str:
-        """Prometheus-flavoured exposition of the whole registry."""
+        """Prometheus text exposition (format 0.0.4) of the whole registry:
+        one ``# TYPE`` line per family, histograms as summaries."""
         lines: list[str] = []
-        for key, state in self.snapshot().items():
-            if state["type"] == "histogram":
-                for field, value in state.items():
-                    if field == "type":
-                        continue
-                    lines.append(f"{key}.{field} {value:g}")
-            else:
-                value = state["value"]
-                text = f"{value:g}" if isinstance(value, float) else str(value)
-                lines.append(f"{key} {text}")
+        family = None
+        for name, metric in sorted(
+            ((_exposed_name(m), m) for m in self._instruments()),
+            key=lambda pair: (pair[0], pair[1].key),
+        ):
+            if name != family:
+                family = name
+                kind = "summary" if metric.kind == "histogram" else metric.kind
+                lines.append(f"# TYPE {name} {kind}")
+            lines.extend(
+                f"{name}{suffix}{_label_text(labels)} {_value_text(value)}"
+                for suffix, labels, value in metric.samples()
+            )
         return "\n".join(lines) + ("\n" if lines else "")
 
     def reset(self) -> None:
         with self._lock:
             self._metrics.clear()
+            self._pulled = set()
 
     def __len__(self) -> int:
         return len(self._metrics)
-
-
-# -- no-op variants (global disabled mode) -------------------------------------
-
-
-class NullCounter:
-    __slots__ = ()
-    kind = "counter"
-    value = 0
-
-    def inc(self, amount: int | float = 1) -> None:
-        pass
-
-
-class NullGauge:
-    __slots__ = ()
-    kind = "gauge"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-    def set_function(self, fn) -> None:
-        pass
-
-
-class NullHistogram:
-    __slots__ = ()
-    kind = "histogram"
-    count = 0
-    total = 0.0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def summary(self, quantiles: Iterable[float] = ()) -> dict[str, Any]:
-        return {"count": 0, "sum": 0.0, "mean": 0.0, "min": 0.0, "max": 0.0}
-
-
-_NULL_COUNTER = NullCounter()
-_NULL_GAUGE = NullGauge()
-_NULL_HISTOGRAM = NullHistogram()
-
-
-class NullRegistry:
-    """Shared-singleton registry: every instrument is a no-op."""
-
-    def counter(self, name: str, **labels: Any) -> NullCounter:
-        return _NULL_COUNTER
-
-    def gauge(self, name: str, **labels: Any) -> NullGauge:
-        return _NULL_GAUGE
-
-    def histogram(self, name: str, **labels: Any) -> NullHistogram:
-        return _NULL_HISTOGRAM
-
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        return {}
-
-    def render_text(self) -> str:
-        return ""
-
-    def reset(self) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0

@@ -252,14 +252,10 @@ class OperationEngine:
             hit = self.cache.get(cache_key)
             if hit is not None:
                 self.stats.record_cache_hit(name)
-                if obs.enabled:
-                    obs.metrics.counter("operation.cache_hits").inc()
                 return OperationResult(
                     operation, dict(hit.outputs), hit.stdout,
                     dataset_bytes=hit.dataset_bytes, cached=True,
                 )
-            if obs.enabled:
-                obs.metrics.counter("operation.cache_misses").inc()
 
         with obs.tracer.span(
             "operation.invoke", operation=name, dataset=dataset.url

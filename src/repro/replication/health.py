@@ -94,10 +94,6 @@ class HealthMonitor:
         self.transitions += 1
         obs = get_observability()
         if obs.enabled:
-            obs.metrics.counter(
-                "replication.health.transitions",
-                set=replica_set.host, to=replica.status,
-            ).inc()
             obs.events.emit(
                 "replication.health",
                 set=replica_set.host, replica=replica.host,

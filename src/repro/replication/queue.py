@@ -8,8 +8,8 @@ per-follower cursor; a follower that cannot be reached backs off
 exponentially (base doubling per consecutive failure, capped) instead of
 hammering a dead host.
 
-Lag is observable: ``seq - cursor`` per follower, surfaced as the
-``replication.lag`` gauge and through ``/metrics``.  The queue keeps an
+Lag is observable: ``seq - cursor`` per follower, read by ``/metrics``
+as the ``replication_lag`` gauge.  The queue keeps an
 operation until every follower has applied it, then compacts.
 """
 
@@ -76,14 +76,6 @@ class ReplicationQueue:
             op = ReplicationOp(self.seq, kind, path, data, flags)
             self._ops.append(op)
             self.ops_enqueued += 1
-        obs = get_observability()
-        if obs.enabled:
-            obs.metrics.counter(
-                "replication.queue.enqueued", set=self._set.host
-            ).inc()
-            obs.metrics.gauge(
-                "replication.queue.depth", set=self._set.host
-            ).set(self.depth())
         return op
 
     # -- observability ---------------------------------------------------------
@@ -132,9 +124,6 @@ class ReplicationQueue:
                     replica.next_attempt_at = now + delay
                     self.retries += 1
                     if obs.enabled:
-                        obs.metrics.counter(
-                            "replication.push.retries", set=self._set.host
-                        ).inc()
                         obs.events.emit(
                             "replication.push.failed",
                             set=self._set.host, replica=replica.host,
@@ -148,17 +137,6 @@ class ReplicationQueue:
                     applied += 1
                     self.ops_applied += 1
         self.compact()
-        if obs.enabled:
-            obs.metrics.gauge(
-                "replication.queue.depth", set=self._set.host
-            ).set(self.depth())
-            obs.metrics.gauge(
-                "replication.lag", set=self._set.host
-            ).set(self.max_lag())
-            if applied:
-                obs.metrics.counter(
-                    "replication.push.applied", set=self._set.host
-                ).inc(applied)
         return applied
 
     def compact(self) -> None:

@@ -301,7 +301,6 @@ class ReplicaSet:
             self.failovers += 1
         obs = get_observability()
         if obs.enabled:
-            obs.metrics.counter("replication.failovers", set=self.host).inc()
             obs.events.emit(
                 "replication.failover",
                 set=self.host, served_by=replica.host, method=method,
@@ -345,6 +344,10 @@ class ReplicaSet:
         )
 
     # -- status ------------------------------------------------------------------
+
+    def replicas_up(self) -> int:
+        """Replicas the health monitor reports up (a killed one never is)."""
+        return sum(1 for r in self.replicas if not r.killed and r.status == "up")
 
     def status(self) -> dict:
         """Plain-data view for the CLI and ``/metrics``."""

@@ -6,8 +6,8 @@ the single-user engine into one.  The pieces:
 * :class:`WriterLock` — the engine's single writer lock.  Writes from any
   connection serialise through it; acquisition has a configurable timeout
   that raises :class:`~repro.errors.LockTimeout` instead of blocking
-  forever, and every wait is measured (``sqldb.writer_lock.*`` metrics,
-  including a queue-depth gauge).
+  forever, and every wait is measured (``sqldb.writer_lock.*`` metrics;
+  ``/metrics`` reads the queue depth from the lock).
 * :class:`TableSnapshot` / :class:`SnapshotCatalog` — read-only views of
   the live catalog at one version-clock sequence.  Every access path —
   index lookups, range scans, index joins, scans — reads the live heap
@@ -91,10 +91,6 @@ class WriterLock:
             return
         with self._waiters_lock:
             self._waiters += 1
-            if obs.enabled:
-                obs.metrics.gauge("sqldb.writer_lock.queue_depth").set(
-                    self._waiters
-                )
         started = perf_counter()
         try:
             acquired = self._lock.acquire(timeout=timeout)
@@ -102,10 +98,6 @@ class WriterLock:
             waited = perf_counter() - started
             with self._waiters_lock:
                 self._waiters -= 1
-                if obs.enabled:
-                    obs.metrics.gauge("sqldb.writer_lock.queue_depth").set(
-                        self._waiters
-                    )
         if obs.enabled:
             obs.metrics.histogram("sqldb.writer_lock.wait_seconds").observe(
                 waited
@@ -401,8 +393,6 @@ class ConnectionPool:
             self.checkouts += 1
             self._in_use += 1
         if obs.enabled:
-            obs.metrics.counter("sqldb.pool.checkouts").inc()
-            obs.metrics.gauge("sqldb.pool.in_use").set(self._in_use)
             obs.metrics.histogram("sqldb.pool.checkout_wait_seconds").observe(
                 perf_counter() - started
             )

@@ -391,12 +391,6 @@ class Database:
         if hashed:
             metrics.counter("sqldb.join.hash_build_rows").inc(hashed)
         metrics.histogram("sql.statement_seconds").observe(elapsed)
-        metrics.counter("sql.statement_cache.hits").value = (
-            self.statement_cache_hits
-        )
-        metrics.counter("sql.statement_cache.misses").value = (
-            self.statement_cache_misses
-        )
         obs.slow_query.record(
             sql or f"<{kind}>", elapsed, params=params,
             rows=len(result.rows) or result.rowcount, rows_scanned=scanned,

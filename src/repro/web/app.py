@@ -224,12 +224,18 @@ class EasiaApp:
         )
         return Response.html(page(document.title, f"<ul>{items}</ul>"))
 
-    def _query_form(self, request: Request) -> Response:
+    def _visible_table(self, request: Request, param: str = "table"):
+        """The user, their XUIS and the table named by ``param``.  Every
+        table handler refuses a table the user's XUIS hides (400)."""
         user = request.require_user()
         document = self.document_for(user)
-        table = document.table(request.require_param("table"))
+        table = document.table(request.require_param(param))
         if table.hidden:
             raise WebError(f"table {table.name} is not available")
+        return user, document, table
+
+    def _query_form(self, request: Request) -> Response:
+        _user, _document, table = self._visible_table(request)
         return Response.html(render_query_form(table))
 
     def _search(self, request: Request) -> Response:
@@ -241,11 +247,8 @@ class EasiaApp:
         rows) the pagination total.  A ``limit`` caps the rows the search
         reaches; ``page``/``page_size`` page through at most that many.
         """
-        user = request.require_user()
-        document = self.document_for(user)
-        table_name = request.require_param("table")
-        table = document.table(table_name)
-        query = build_query_from_params(table_name, request.params)
+        user, document, table = self._visible_table(request)
+        query = build_query_from_params(table.name, request.params)
         if not self.db.catalog.is_view(table.name):
             query.bind_types(self.db.catalog.schema(table.name))
 
@@ -282,11 +285,8 @@ class EasiaApp:
     def _export(self, request: Request) -> Response:
         """Download query results as CSV or XML (same QBE parameters as
         ``/search``, plus ``format=csv|xml``)."""
-        user = request.require_user()
-        document = self.document_for(user)
-        table_name = request.require_param("table")
-        table = document.table(table_name)
-        query = build_query_from_params(table_name, request.params)
+        _user, _document, table = self._visible_table(request)
+        query = build_query_from_params(table.name, request.params)
         if not self.db.catalog.is_view(table.name):
             query.bind_types(self.db.catalog.schema(table.name))
         sql, params = query.to_sql(table)
@@ -339,9 +339,7 @@ class EasiaApp:
         return f" ORDER BY {columns}"
 
     def _whole_table(self, request: Request) -> Response:
-        user = request.require_user()
-        document = self.document_for(user)
-        table = document.table(request.require_param("name"))
+        user, document, table = self._visible_table(request, "name")
         visible = ", ".join(c.colid for c in table.visible_columns())
         sql = (
             f"SELECT {visible} FROM {table.name}"
@@ -586,43 +584,83 @@ class EasiaApp:
         )
 
     def _metrics(self, request: Request) -> Response:
-        """Text exposition of the live metrics registry, plus engine-level
-        cache statistics (Prometheus-flavoured, one metric per line)."""
+        """The Prometheus text exposition of :meth:`metrics_text`."""
         request.require_user()
+        return Response.data(self.metrics_text().encode("utf-8"), "text/plain")
+
+    def metrics_text(self) -> str:
+        """Render the current registry with this app's component counters
+        bound to it as pull instruments.  Binding at render time lets a
+        registry installed by ``repro.obs.enable()`` after the app was
+        built show them too; each event stays counted once, by its
+        component."""
         from repro.obs import get_observability
 
-        obs = get_observability()
-        lines = [obs.metrics.render_text().rstrip("\n")] if obs.enabled else []
-        stats = self.db.statement_cache_stats
-        lines.append(f"sql.statement_cache.entries {stats['entries']}")
-        lines.append(f"sql.statement_cache.hit_ratio {stats['hit_ratio']:.4f}")
-        cache = self.engine.cache
-        lines.append(f"operation.cache.hits {cache.hits}")
-        lines.append(f"operation.cache.misses {cache.misses}")
-        lines.append(f"operation.cache.stored_bytes {cache.stored_bytes}")
-        lines.append(f"datalink.links_applied.total {self.linker.links_applied}")
-        lines.append(f"datalink.unlinks_applied.total {self.linker.unlinks_applied}")
-        lines.append(f"datalink.tokens_issued.total {self.linker.tokens.issued_count}")
-        replication = getattr(self.linker, "replication", None)
-        if replication is not None:
-            status = replication.status()
-            lines.append(f"replication.sets {len(status['sets'])}")
-            lines.append(f"replication.max_lag {status['max_lag']}")
-            lines.append(
-                f"replication.failovers.total {status['total_failovers']}"
-            )
-            for host, s in status["sets"].items():
-                lines.append(
-                    f'replication.queue.depth{{set="{host}"}} '
-                    f"{s['queue_depth']}"
-                )
-                lines.append(f'replication.lag{{set="{host}"}} {s["max_lag"]}')
-                up = sum(1 for r in s["replicas"] if r["status"] == "up")
-                lines.append(
-                    f'replication.replicas_up{{set="{host}"}} {up}'
-                )
-        body = "\n".join(line for line in lines if line) + "\n"
-        return Response.data(body.encode("utf-8"), "text/plain")
+        registry = get_observability().metrics
+        registry.bind(self._metric_pulls())
+        return registry.render_text()
+
+    def _metric_pulls(self) -> list:
+        """``(instrument class, name, labels, fn)`` for every component
+        counter: statement and operation caches, the linker and its
+        tokens, each physical file server, the writer lock, the
+        connection pool and each replica set."""
+        from functools import partial
+
+        from repro.obs import Counter, Gauge
+
+        db, cache, linker = self.db, self.engine.cache, self.linker
+        tokens, lock, pool = linker.tokens, db.writer_lock, self.container.pool
+        counters = {
+            "sql.statement_cache.hits": lambda: db.statement_cache_hits,
+            "sql.statement_cache.misses": lambda: db.statement_cache_misses,
+            "operation.cache.hits": lambda: cache.hits,
+            "operation.cache.misses": lambda: cache.misses,
+            "datalink.links_applied": lambda: linker.links_applied,
+            "datalink.unlinks_applied": lambda: linker.unlinks_applied,
+            "datalink.tokens_issued": lambda: tokens.issued_count,
+            "datalink.tokens_validated": lambda: tokens.validated_count,
+        }
+        gauges = {
+            "sql.statement_cache.entries":
+                lambda: db.statement_cache_stats["entries"],
+            "operation.cache.stored_bytes": lambda: cache.stored_bytes,
+            "sqldb.writer_lock.queue_depth": lambda: lock.queue_depth,
+        }
+        if pool is not None:
+            counters["sqldb.pool.checkouts"] = lambda: pool.checkouts
+            gauges["sqldb.pool.in_use"] = lambda: pool.in_use
+        pulls = [(Counter, name, {}, fn) for name, fn in counters.items()]
+        pulls += [(Gauge, name, {}, fn) for name, fn in gauges.items()]
+        for logical in linker.servers():
+            replicas = getattr(logical, "replicas", None)
+            for server in [r.server for r in replicas] if replicas else [logical]:
+                pulls += [
+                    (Counter, f"fileserver.{attr}", {"host": server.host},
+                     partial(getattr, server, attr))
+                    for attr in ("requests", "denied", "bytes_served")
+                ]
+        replication = linker.replication
+        if replication is None:
+            return pulls
+        pulls.append((Counter, "replication.health.transitions", {},
+                      partial(getattr, replication.health, "transitions")))
+        for name, rs in replication.sets.items():
+            labels, queue = {"set": name}, rs.queue
+            pulls += [
+                (Gauge, "replication.queue.depth", labels, queue.depth),
+                (Gauge, "replication.lag", labels, queue.max_lag),
+                (Gauge, "replication.replicas_up", labels, rs.replicas_up),
+                (Counter, "replication.failovers", labels,
+                 partial(getattr, rs, "failovers")),
+            ] + [
+                (Counter, f"replication.{metric}", labels,
+                 partial(getattr, queue, attr))
+                for metric, attr in (("queue.enqueued", "ops_enqueued"),
+                                     ("push.applied", "ops_applied"),
+                                     ("push.retries", "retries"))
+            ]
+        return pulls
 
     def _trace(self, request: Request) -> Response:
         """Recent spans from the tracer's ring buffer, newest last, with

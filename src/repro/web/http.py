@@ -31,6 +31,9 @@ __all__ = [
     "escape",
 ]
 
+#: the ``path`` label of every request that matched no servlet
+UNMATCHED_PATH = "(unmatched)"
+
 
 def escape(text: Any) -> str:
     """HTML-escape arbitrary values for safe interpolation."""
@@ -230,7 +233,7 @@ class ServletContainer:
         self.sessions = SessionManager(session_max_idle, time_source)
         self._routes: dict[str, Servlet] = {}
         #: optional per-request database connection pool (threaded serving)
-        self._pool = None
+        self.pool = None
 
     def use_connection_pool(self, pool) -> None:
         """Serve each request on a pooled database connection.
@@ -243,7 +246,7 @@ class ServletContainer:
         when every pooled connection is busy; a checkout timeout maps to
         ``503``.
         """
-        self._pool = pool
+        self.pool = pool
 
     def register(self, path: str, servlet: Servlet | Callable[[Request], Response]) -> None:
         if path in self._routes:
@@ -267,7 +270,9 @@ class ServletContainer:
 
         Every dispatch reports through the observability layer (when
         enabled): an ``http.request`` span plus per-route latency
-        histograms and status counters.
+        histograms and status counters.  Paths with no servlet share the
+        one ``path`` label :data:`UNMATCHED_PATH`, so probing unknown
+        URLs cannot grow the registry without bound.
         """
         obs = get_observability()
         if not obs.enabled:
@@ -279,10 +284,11 @@ class ServletContainer:
             )
             elapsed = perf_counter() - started
             span.set(status=response.status, elapsed=elapsed)
+        route = path if path in self._routes else UNMATCHED_PATH
         obs.metrics.counter(
-            "http.requests", path=path, status=response.status
+            "http.requests", path=route, status=response.status
         ).inc()
-        obs.metrics.histogram("http.request_seconds", path=path).observe(elapsed)
+        obs.metrics.histogram("http.request_seconds", path=route).observe(elapsed)
         if response.status >= 500:
             obs.events.emit(
                 "http.error", path=path, status=response.status,
@@ -314,8 +320,8 @@ class ServletContainer:
         session = self.sessions.get(session_id)
         request = Request(path, params, method, session, files)
         try:
-            if self._pool is not None:
-                with self._pool.scope():
+            if self.pool is not None:
+                with self.pool.scope():
                     return servlet.service(request)
             return servlet.service(request)
         except AuthenticationError as exc:

@@ -94,9 +94,32 @@ class TestMetrics:
         registry.counter("c").inc(7)
         registry.histogram("h").observe(2.0)
         text = registry.render_text()
-        assert "c 7" in text
-        assert "h.count 1" in text
-        assert "h.p50 2" in text
+        assert "# TYPE c_total counter\nc_total 7\n" in text
+        assert "# TYPE h summary\n" in text
+        assert 'h{quantile="0.5"} 2.0' in text
+        assert "h_sum 2.0\nh_count 1\n" in text
+
+    def test_render_text_names_labels_and_pulls(self):
+        registry = MetricsRegistry()
+        registry.gauge("queue.depth", set='a"b\\c').set(3)
+        registry.counter("bytes_total").set_function(lambda: 5)
+        text = registry.render_text()
+        assert 'queue_depth{set="a\\"b\\\\c"} 3' in text
+        assert "bytes_total 5" in text  # already ends in _total
+        # snapshot keys keep the registry's own dotted names
+        assert set(registry.snapshot()) == {"bytes_total", 'queue.depth{set=a"b\\c}'}
+
+    def test_bind_replaces_earlier_pulls(self):
+        from repro.obs import Counter, Gauge
+
+        registry = MetricsRegistry()
+        registry.counter("pushed").inc()
+        registry.bind([(Counter, "a", {}, lambda: 1), (Gauge, "b", {}, lambda: 2)])
+        assert registry.snapshot()["a"]["value"] == 1
+        registry.bind([(Counter, "a", {}, lambda: 7)])
+        snap = registry.snapshot()
+        assert snap["a"]["value"] == 7
+        assert "b" not in snap and snap["pushed"]["value"] == 1
 
 
 class TestTracing:
@@ -195,15 +218,29 @@ class TestEventsAndSlowQueryLog:
 
 class TestGlobalDefault:
     def test_default_is_noop(self):
-        obs = get_observability()
-        assert not obs.enabled
-        # every instrument call is safe and free
-        obs.metrics.counter("x").inc()
-        with obs.tracer.span("y"):
-            pass
-        obs.events.emit("z")
-        assert obs.metrics.render_text() == ""
-        assert obs.tracer.snapshot() == []
+        from repro.datalink import TokenManager
+        from repro.sqldb import Database
+
+        assert not get_observability().enabled
+        # a disabled handle traces and logs nothing, and no component
+        # pushes into its registry, which only ever receives pulls
+        handle = Observability(enabled=False)
+        previous = set_observability(handle)
+        try:
+            with handle.tracer.span("y"):
+                pass
+            handle.events.emit("z")
+            db = Database()
+            db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY)")
+            db.execute("INSERT INTO T VALUES (1)")
+            db.execute("SELECT * FROM T")
+            tokens = TokenManager(secret=b"k")
+            tokens.validate("s", tokens.issue("s"))
+        finally:
+            set_observability(previous)
+        assert handle.tracer.snapshot() == []
+        assert len(handle.metrics) == 0
+        assert handle.metrics.render_text() == ""
 
     def test_enable_disable_roundtrip(self):
         before = get_observability()
@@ -254,7 +291,7 @@ class TestTokenExpiryBoundary:
         token = manager.issue("fs1/data/ts1.dat")
         clock.advance(60.0)  # exactly the expiry instant
         assert manager.validate("fs1/data/ts1.dat", token) is True
-        assert obs.metrics.counter("datalink.tokens_validated").value == 1
+        assert manager.validated_count == 1
         assert obs.metrics.counter("datalink.tokens_expired").value == 0
 
     def test_expired_just_after_boundary(self, obs):
@@ -276,7 +313,7 @@ class TestTokenExpiryBoundary:
         manager = self._manager(SimClock())
         token = manager.issue("fs1/f")
         manager.validate("fs1/f", token)
-        assert obs.metrics.counter("datalink.tokens_issued").value == 1
+        assert manager.issued_count == 1
         assert [e["kind"] for e in obs.events.events()] == [
             "token.issue",
             "token.validate",
@@ -454,10 +491,10 @@ class TestWebEndpoints:
         assert metrics.status == 200
         assert metrics.content_type == "text/plain"
         text = metrics.body.decode()
-        assert "http.requests{path=/search,status=200} 1" in text
-        assert "sql.statements" in text
-        assert "sql.statement_cache.hit_ratio" in text
-        assert "datalink.tokens_issued.total" in text
+        assert 'http_requests_total{path="/search",status="200"} 1' in text
+        assert "sql_statements_total" in text
+        assert "sql_statement_cache_hits_total" in text
+        assert "datalink_tokens_issued_total" in text
 
         trace = app.get("/trace", session_id=session)
         assert trace.status == 200
@@ -490,4 +527,4 @@ class TestWebEndpoints:
         session = app.login("guest", "guest")
         metrics = app.get("/metrics", session_id=session)
         assert metrics.status == 200
-        assert "sql.statement_cache.entries" in metrics.body.decode()
+        assert "sql_statement_cache_entries" in metrics.body.decode()

@@ -618,14 +618,14 @@ class TestWebFailoverAcceptance:
         replica_set.kill(replica_set.primary.host)
         app.get("/download", {"url": url}, session_id=session)
         text = app.get("/metrics", session_id=session).text
-        assert "replication.max_lag" in text
-        assert "replication.failovers.total" in text
-        assert 'replication.queue.depth{set="fs1.soton.ac.uk"}' in text
-        failovers = next(
+        assert 'replication_lag{set="fs1.soton.ac.uk"}' in text
+        assert 'replication_queue_depth{set="fs1.soton.ac.uk"}' in text
+        assert 'replication_replicas_up{set="fs1.soton.ac.uk"} 1' in text
+        failovers = sum(
             int(line.split()[-1]) for line in text.splitlines()
-            if line.startswith("replication.failovers.total")
+            if line.startswith("replication_failovers_total{")
         )
-        assert failovers >= 1
+        assert failovers == sum(rs.failovers for rs in archive.servers) >= 1
 
     def test_repair_after_tamper_via_manager(self, portal):
         archive, _app, _session, _url = portal

@@ -350,8 +350,8 @@ class TestObservability:
                 handle.metrics.counter("wal.recovery.replayed_txns").value == 2
             )
             rendered = handle.metrics.render_text()
-            assert "wal.recovery.replayed_txns" in rendered
-            assert "wal.append.fsync" in rendered
+            assert "wal_recovery_replayed_txns_total 2" in rendered
+            assert "wal_append_fsync_total 2" in rendered
         finally:
             obs_module.disable()
 

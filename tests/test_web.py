@@ -570,3 +570,32 @@ class TestPersonalisation:
         user_home = app.get("/", session_id=user_session).text
         assert "CODE_FILE" not in guest_home
         assert "CODE_FILE" in user_home
+
+    def test_hidden_table_refused_by_every_table_handler(self, archive, tmp_path):
+        from repro.xuis import personalise
+
+        docs = personalise(
+            archive.document, {"guest": lambda c: c.hide_table("AUTHOR")}
+        )
+        engine = archive.make_engine(str(tmp_path / "sb"))
+        app = EasiaApp(
+            archive.db, archive.linker, archive.document, archive.users,
+            engine, documents_by_role=docs,
+        )
+        guest = app.login("guest", "guest")
+        user = app.login("turbulence", "consortium")
+        requests = [
+            ("/query", {"table": "AUTHOR"}),
+            ("/search", {"table": "AUTHOR", "show_NAME": "on"}),
+            ("/table", {"name": "AUTHOR"}),
+            ("/export", {"table": "AUTHOR", "show_NAME": "on"}),
+        ]
+        names = [
+            row[0] for row in archive.db.execute("SELECT NAME FROM AUTHOR").rows
+        ]
+        for path, params in requests:
+            refused = app.get(path, params, session_id=guest)
+            assert refused.status == 400, path
+            assert "not available" in refused.text
+            assert not any(name in refused.text for name in names), path
+            assert app.get(path, params, session_id=user).status == 200, path
