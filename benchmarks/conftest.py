@@ -19,9 +19,9 @@ def _uncaptured_tables(pytestconfig):
         else:
             print(text, flush=True)
 
-    reporting.set_writer(writer)
+    previous = reporting.set_emitter(reporting.Emitter(writer))
     yield
-    reporting.set_writer(reporting._default_writer)
+    reporting.set_emitter(previous)
 
 
 @pytest.fixture(scope="session")

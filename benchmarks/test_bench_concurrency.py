@@ -11,15 +11,15 @@ of each interval.  Readers run in two modes:
   writer lock, the behaviour a single-lock engine would force on readers.
 
 Each reader validates every SUM it sees against the invariant total, so
-the run doubles as a torn-read detector.  Results land in
-``BENCH_concurrency.json`` (checked by scripts/check_bench_regression.py
---concurrency): torn_reads must be 0 and speedup must be >= 4x.
+the run doubles as a torn-read detector: the test fails on any torn read.
+The read counts and the snapshot-vs-serialized ``speedup`` go into the
+benchmark's ``extra_info``; run with ``--benchmark-json=bench_current.json``
+and ``scripts/check_bench_regression.py BENCH_concurrency.json
+bench_current.json`` holds the speedup to the floor recorded there.
 """
 
-import json
 import threading
 import time
-from pathlib import Path
 
 from repro.bench import PaperTable
 from repro.errors import LockTimeout
@@ -31,7 +31,6 @@ BALANCE = 100
 DURATION = 0.6  # seconds per mode
 WRITER_HOLD = 0.02  # seconds the writer keeps the lock per transaction
 WRITER_GAP = 0.004  # seconds between writer transactions
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_concurrency.json"
 
 
 def _build_db():
@@ -129,25 +128,10 @@ def test_bench_a4_snapshot_read_throughput(benchmark):
     table.add_row("speedup", f"{speedup:.1f}x", "", "")
     table.show()
 
-    RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "concurrency.snapshot_vs_serialized",
-                "readers": N_READERS,
-                "writers": 1,
-                "duration_seconds": DURATION,
-                "snapshot_reads": snap_reads,
-                "serialized_reads": serial_reads,
-                "torn_reads": snap_torn + serial_torn,
-                "speedup": round(speedup, 2),
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    benchmark.extra_info.update(
+        snapshot_reads=snap_reads,
+        serialized_reads=serial_reads,
+        speedup=speedup,
     )
 
     assert snap_torn == 0 and serial_torn == 0
-    assert speedup >= 4.0, (
-        f"snapshot reads only {speedup:.1f}x serialized reads"
-    )

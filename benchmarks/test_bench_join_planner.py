@@ -7,8 +7,8 @@ same join through a nested loop (it is O(n+m) vs O(n*m), so the observed
 ratio is far larger), and an inequality predicate over an indexed column must ride
 ``SortedIndex.range_scan`` instead of a sequential scan.
 
-These medians feed the perf-regression CI gate (BENCH_planner.json via
-scripts/check_bench_regression.py).
+These medians feed the perf-regression CI gate (the BENCH_planner.json
+records, checked by scripts/check_bench_regression.py).
 """
 
 import time

@@ -5,28 +5,26 @@ replicated archive (factor 2), run a burst of DATALINK downloads through
 the web tier with every replica up, kill each logical host's primary,
 and run the same burst again.
 
-Gates (checked by ``scripts/check_bench_regression.py --replication``
-over ``BENCH_replication.json``):
+The test itself fails unless, with one replica of each set dead, every
+download still returns 200 and fails over, and unless an anti-entropy
+repair of a deliberately corrupted follower leaves every replica set
+checksum-clean again.
 
-* ``failover_errors`` must be 0 — with one replica of each set dead,
-  every download still returns 200;
-* ``overhead_ratio`` (degraded time / healthy time) must stay under the
-  configured ceiling — failover costs one extra in-process hop, not a
-  timeout spiral;
-* after an anti-entropy repair of a deliberately corrupted follower,
-  every replica set is checksum-clean again.
+The timings, the failover count and ``overhead_ratio`` (degraded time /
+healthy time) go into the benchmark's ``extra_info``; run with
+``--benchmark-json=bench_current.json`` and
+``scripts/check_bench_regression.py BENCH_replication.json
+bench_current.json`` holds the ratio under the ceiling recorded there —
+failover costs one extra in-process hop, not a timeout spiral.
 """
 
-import json
 import tempfile
 import time
-from pathlib import Path
 
 from repro.bench import PaperTable
 from repro.replication import check_replica_set
 
 DOWNLOADS = 60  # per phase
-RESULT_PATH = Path(__file__).resolve().parents[1] / "BENCH_replication.json"
 
 
 def _build_portal():
@@ -109,25 +107,11 @@ def test_bench_a5_failover_download(benchmark):
     table.add_row("failover overhead", f"{overhead:.2f}x", "", "")
     table.show()
 
-    RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "benchmark": "replication.failover_download",
-                "replication_factor": 2,
-                "downloads_per_phase": DOWNLOADS,
-                "healthy_seconds": round(healthy_s, 4),
-                "degraded_seconds": round(degraded_s, 4),
-                "healthy_errors": healthy_errors,
-                "failover_errors": degraded_errors,
-                "failovers": failovers,
-                "overhead_ratio": round(overhead, 3),
-                "repair_findings": repair_findings,
-                "repair_clean": clean,
-            },
-            indent=2,
-        )
-        + "\n",
-        encoding="utf-8",
+    benchmark.extra_info.update(
+        healthy_seconds=healthy_s,
+        degraded_seconds=degraded_s,
+        failovers=failovers,
+        overhead_ratio=overhead,
     )
 
     assert healthy_errors == 0

@@ -1,31 +1,25 @@
 #!/usr/bin/env python3
-"""Compare a pytest-benchmark JSON run against a committed baseline.
+"""Check a pytest-benchmark JSON run against a committed baseline.
 
 Usage:
-    python scripts/check_bench_regression.py BASELINE CURRENT [--max-ratio 2.0]
-    python scripts/check_bench_regression.py --concurrency BENCH_concurrency.json
-    python scripts/check_bench_regression.py --replication BENCH_replication.json
+    python scripts/check_bench_regression.py BASELINE CURRENT
 
-Benchmarks whose name contains one of the guarded keywords (point lookups,
-joins, scans and top-N pagination — the query engine's hot paths) fail
-the check when their median
-exceeds ``max-ratio`` times the baseline median, or when they are in the
-baseline but missing from the current run.  Other benchmarks are
-reported but never fail: absolute CI-runner speed varies, so only the
-guarded set is enforced, and only by ratio.
+BASELINE is a committed ``BENCH_*.json``: a JSON list of records
+``{"name", "value", "unit", "better", "gate"}``.  ``better`` is ``"lower"``
+or ``"higher"``; ``gate`` is one of
 
-``--concurrency`` validates the concurrency benchmark's result file
-(produced by benchmarks/test_bench_concurrency.py) instead of or in
-addition to the median comparison: torn_reads must be exactly 0 and the
-snapshot-vs-serialized speedup must meet ``--min-speedup`` (default 4.0).
+* ``null`` — the record is reported and never fails;
+* ``{"ratio": r}`` — fails when the current value is worse than ``value``
+  by more than a factor of ``r``, in the ``better`` direction;
+* ``{"limit": x}`` — fails when the current value is worse than ``x``.
 
-``--replication`` validates the failover benchmark's result file
-(produced by benchmarks/test_bench_replication.py): failover_errors must
-be exactly 0, the anti-entropy repair must end checksum-clean, and the
-degraded/healthy download-time ratio must stay under ``--max-overhead``
-(default 5.0).
+CURRENT is pytest-benchmark's ``--benchmark-json`` output.  Each benchmark
+contributes its ``stats.median`` under its test name and each numeric
+``extra_info[key]`` under ``<test name>.<key>``.
 
-Exit status: 0 when every enforced gate holds, 1 otherwise.
+A gated record missing from the run fails; a current value with no record
+is printed as ``new`` and never fails.  Exit status: 0 when every gate
+holds, 1 when one fails, 2 when a file cannot be read as that format.
 """
 
 from __future__ import annotations
@@ -33,170 +27,126 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from numbers import Real
 
-#: benchmarks whose median regressing past the ratio fails the gate
-GUARDED_KEYWORDS = ("lookup", "join", "scan", "pagination")
+FIELDS = {"name", "value", "unit", "better", "gate"}
+BETTER = ("lower", "higher")
 
 
-def load_medians(path: str) -> dict[str, float]:
+def _is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _validate(record) -> None:
+    """Raise ValueError unless ``record`` is one well-formed baseline record."""
+    if not isinstance(record, dict) or set(record) != FIELDS:
+        raise ValueError(f"record {record!r} must have exactly {sorted(FIELDS)}")
+    name = record["name"]
+    if not isinstance(name, str) or not name:
+        raise ValueError(f"record name {name!r} must be a non-empty string")
+    if not _is_number(record["value"]):
+        raise ValueError(f"{name}: value {record['value']!r} is not a number")
+    if record["better"] not in BETTER:
+        raise ValueError(f"{name}: better {record['better']!r} not in {BETTER}")
+    gate = record["gate"]
+    if gate is None:
+        return
+    if not isinstance(gate, dict) or len(gate) != 1 or not (
+        set(gate) <= {"ratio", "limit"}
+    ):
+        raise ValueError(f"{name}: gate {gate!r} must be null, "
+                         "{\"ratio\": r} or {\"limit\": x}")
+    (kind, bound), = gate.items()
+    if not _is_number(bound):
+        raise ValueError(f"{name}: gate {kind} {bound!r} is not a number")
+    if kind == "ratio" and (bound < 1.0 or record["value"] <= 0.0):
+        raise ValueError(f"{name}: a ratio gate needs ratio >= 1 and value > 0")
+
+
+def load_records(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as handle:
+        records = json.load(handle)
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: expected a JSON list of records")
+    for record in records:
+        _validate(record)
+    return records
+
+
+def load_current(path: str) -> dict[str, float]:
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
-    return {
-        bench["name"]: bench["stats"]["median"]
-        for bench in payload.get("benchmarks", [])
-    }
+    values: dict[str, float] = {}
+    for bench in payload["benchmarks"]:
+        values[bench["name"]] = bench["stats"]["median"]
+        for key, value in (bench.get("extra_info") or {}).items():
+            if _is_number(value):
+                values[f"{bench['name']}.{key}"] = value
+    return values
 
 
-def is_guarded(name: str) -> bool:
-    return any(keyword in name.lower() for keyword in GUARDED_KEYWORDS)
+def threshold(record: dict) -> float | None:
+    """The value past which ``record`` fails, or None when it is ungated."""
+    gate = record["gate"]
+    if gate is None:
+        return None
+    if "limit" in gate:
+        return gate["limit"]
+    if record["better"] == "lower":
+        return record["value"] * gate["ratio"]
+    return record["value"] / gate["ratio"]
 
 
-def check_medians(baseline_path: str, current_path: str,
-                  max_ratio: float) -> list[str]:
-    baseline = load_medians(baseline_path)
-    current = load_medians(current_path)
-
+def check(records: list[dict], current: dict[str, float]) -> list[str]:
+    """Print one line per record and return the failures."""
     failures: list[str] = []
-    for name, median in sorted(current.items()):
-        reference = baseline.get(name)
-        if reference is None or reference <= 0.0:
-            print(f"  new       {name}: {median * 1e6:.1f} us (no baseline)")
+    for record in records:
+        name, unit, bound = record["name"], record["unit"], threshold(record)
+        value = current.get(name)
+        if value is None:
+            if bound is not None:
+                failures.append(f"{name}: gated record missing from this run")
+            print(f"  {'missing':<8} {name}")
             continue
-        ratio = median / reference
-        guarded = is_guarded(name)
-        status = "ok"
-        if ratio > max_ratio and guarded:
-            status = "REGRESSED"
-            failures.append(
-                f"{name}: median {median * 1e6:.1f} us vs baseline "
-                f"{reference * 1e6:.1f} us ({ratio:.2f}x > {max_ratio}x)"
-            )
-        elif ratio > max_ratio:
-            status = "slower (unguarded)"
-        print(
-            f"  {status:<18} {name}: {median * 1e6:.1f} us "
-            f"({ratio:.2f}x baseline)"
-        )
-
-    missing = sorted(set(baseline) - set(current))
-    for name in missing:
-        print(f"  missing   {name}: present in baseline but not in this run")
-        if is_guarded(name):
-            failures.append(f"{name}: guarded benchmark missing from this run")
-    return failures
-
-
-def check_concurrency(path: str, min_speedup: float) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-
-    failures: list[str] = []
-    torn = payload.get("torn_reads")
-    speedup = payload.get("speedup")
-    if torn is None or speedup is None:
-        return [f"{path}: missing torn_reads/speedup keys"]
-    if torn != 0:
-        failures.append(
-            f"{path}: {torn} torn read(s) observed — isolation is broken"
-        )
-    if speedup < min_speedup:
-        failures.append(
-            f"{path}: snapshot-read speedup {speedup:.2f}x below the "
-            f"{min_speedup:g}x floor"
-        )
-    print(
-        f"  concurrency: {payload.get('snapshot_reads', '?')} snapshot reads "
-        f"vs {payload.get('serialized_reads', '?')} serialized "
-        f"({speedup:.2f}x, {torn} torn)"
-    )
-    return failures
-
-
-def check_replication(path: str, max_overhead: float) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-
-    failures: list[str] = []
-    errors = payload.get("failover_errors")
-    overhead = payload.get("overhead_ratio")
-    clean = payload.get("repair_clean")
-    if errors is None or overhead is None or clean is None:
-        return [f"{path}: missing failover_errors/overhead_ratio/repair_clean keys"]
-    if errors != 0:
-        failures.append(
-            f"{path}: {errors} download(s) failed with a replica dead — "
-            f"failover must be invisible to users"
-        )
-    if overhead > max_overhead:
-        failures.append(
-            f"{path}: degraded downloads {overhead:.2f}x slower than "
-            f"healthy, above the {max_overhead:g}x ceiling"
-        )
-    if not clean:
-        failures.append(
-            f"{path}: anti-entropy repair did not converge to a "
-            f"checksum-clean replica set"
-        )
-    print(
-        f"  replication: {payload.get('failovers', '?')} failover(s), "
-        f"{errors} error(s), {overhead:.2f}x overhead, "
-        f"repair {'clean' if clean else 'DIVERGED'}"
-    )
+        if bound is None:
+            print(f"  {'info':<8} {name}: {value:.4g} {unit} "
+                  f"(baseline {record['value']:.4g})")
+            continue
+        lower = record["better"] == "lower"
+        worse = value > bound if lower else value < bound
+        against = f"{'max' if lower else 'min'} {bound:.4g} {unit}"
+        if worse:
+            failures.append(f"{name}: {value:.4g} {unit} past {against}")
+        print(f"  {'FAIL' if worse else 'ok':<8} {name}: {value:.4g} {unit} "
+              f"({against})")
+    known = {record["name"] for record in records}
+    for name in sorted(set(current) - known):
+        print(f"  {'new':<8} {name}: {current[name]:.4g} (no record)")
     return failures
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("baseline", nargs="?", help="committed baseline JSON")
-    parser.add_argument("current", nargs="?", help="freshly generated JSON")
-    parser.add_argument(
-        "--max-ratio", type=float, default=2.0,
-        help="fail when current/baseline median exceeds this (default 2.0)",
+    parser = argparse.ArgumentParser(
+        description="Check a pytest-benchmark JSON run against BENCH_*.json records."
     )
-    parser.add_argument(
-        "--concurrency", metavar="PATH",
-        help="validate a BENCH_concurrency.json result file",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=4.0,
-        help="concurrency gate: snapshot reads must beat serialized reads "
-             "by at least this factor (default 4.0)",
-    )
-    parser.add_argument(
-        "--replication", metavar="PATH",
-        help="validate a BENCH_replication.json result file",
-    )
-    parser.add_argument(
-        "--max-overhead", type=float, default=5.0,
-        help="replication gate: degraded/healthy download-time ratio "
-             "ceiling (default 5.0)",
-    )
+    parser.add_argument("baseline", help="committed BENCH_*.json records")
+    parser.add_argument("current", help="pytest-benchmark --benchmark-json output")
     args = parser.parse_args(argv)
 
-    if not args.concurrency and not args.replication and not (
-        args.baseline and args.current
-    ):
-        parser.error(
-            "need BASELINE CURRENT, --concurrency PATH, --replication PATH, "
-            "or a combination"
-        )
-    if (args.baseline is None) != (args.current is None):
-        parser.error("BASELINE and CURRENT must be given together")
+    try:
+        records = load_records(args.baseline)
+        current = load_current(args.current)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"bench gate: cannot read input: {exc!r}", file=sys.stderr)
+        return 2
 
-    failures: list[str] = []
-    if args.baseline and args.current:
-        failures += check_medians(args.baseline, args.current, args.max_ratio)
-    if args.concurrency:
-        failures += check_concurrency(args.concurrency, args.min_speedup)
-    if args.replication:
-        failures += check_replication(args.replication, args.max_overhead)
-
+    failures = check(records, current)
     if failures:
-        print("\nperformance regression gate FAILED:", file=sys.stderr)
+        print("\nbench gate FAILED:", file=sys.stderr)
         for line in failures:
             print(f"  {line}", file=sys.stderr)
         return 1
-    print("\nperformance regression gate passed")
+    print("\nbench gate passed")
     return 0
 
 

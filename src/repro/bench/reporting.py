@@ -8,8 +8,7 @@ Emission is injectable: :func:`set_emitter` installs a replacement (tests
 inject collectors), and every emitted line is mirrored into the
 observability event layer as a ``bench.emit`` event when a live
 :mod:`repro.obs` default is installed — so a benchmark run's tables are
-queryable alongside its metrics and traces.  :func:`set_writer` survives
-as a thin compatibility shim over :func:`set_emitter`.
+queryable alongside its metrics and traces.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from typing import Any, Callable, Sequence
 
 from repro.obs import get_observability
 
-__all__ = ["emit", "set_writer", "set_emitter", "get_emitter", "Emitter", "PaperTable"]
+__all__ = ["emit", "set_emitter", "get_emitter", "Emitter", "PaperTable"]
 
 
 def _default_writer(text: str) -> None:
@@ -53,15 +52,6 @@ def set_emitter(emitter: Emitter) -> Emitter:
     previous = _emitter
     _emitter = emitter
     return previous
-
-
-def set_writer(writer: Callable[[str], None]) -> None:
-    """Compatibility shim: wrap a bare writer function in an Emitter.
-
-    The benchmarks' conftest points this at a pytest-capture-disabled
-    printer so regenerated tables reach the terminal (and ``tee``).
-    """
-    set_emitter(Emitter(writer))
 
 
 def emit(text: str = "") -> None:

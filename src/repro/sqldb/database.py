@@ -219,15 +219,6 @@ class Database:
         — how the pool scopes a pooled connection to one request."""
         self._tls.override = conn
 
-    # back-compat introspection: the thread's connection-scoped objects
-    @property
-    def _txns(self):
-        return self._connection().txns
-
-    @property
-    def _executor(self):
-        return self._connection().executor
-
     # -- snapshot registry --------------------------------------------------------
 
     @contextmanager
@@ -1150,7 +1141,7 @@ class Database:
 
     @property
     def in_transaction(self) -> bool:
-        return self._txns.in_explicit_transaction
+        return self._connection().txns.in_explicit_transaction
 
     def table_names(self) -> list[str]:
         return self.catalog.table_names()

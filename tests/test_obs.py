@@ -448,18 +448,6 @@ class TestReportingEmitter:
         finally:
             reporting.set_emitter(previous)
 
-    def test_set_writer_shim(self):
-        from repro.bench import reporting
-
-        collected = []
-        previous = reporting.get_emitter()
-        try:
-            reporting.set_writer(collected.append)
-            reporting.emit("via shim")
-            assert collected == ["via shim"]
-        finally:
-            reporting.set_emitter(previous)
-
 
 @pytest.fixture(scope="module")
 def portal():

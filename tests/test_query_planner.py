@@ -293,12 +293,12 @@ class TestViewCache:
         db.execute("CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER)")
         db.execute("INSERT INTO T VALUES (1, 10), (2, 20)")
         db.execute("CREATE VIEW VW AS SELECT K, V FROM T")
-        before = db._executor.view_materialisations
+        before = db._connection().executor.view_materialisations
         rows = db.execute(
             "SELECT A.K, B.K FROM VW AS A JOIN VW AS B ON A.K = B.K"
         ).rows
         assert sorted(rows) == [(1, 1), (2, 2)]
-        assert db._executor.view_materialisations - before == 1
+        assert db._connection().executor.view_materialisations - before == 1
 
     def test_cache_does_not_leak_across_statements(self):
         db = Database()

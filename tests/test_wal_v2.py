@@ -83,7 +83,7 @@ class TestRecordFormat:
     def test_commit_lsn_exposed_on_transaction(self, tmp_path):
         db = Database(str(tmp_path))
         db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY)")
-        txn = db._txns.begin(explicit=True)
+        txn = db._connection().txns.begin(explicit=True)
         db.execute("INSERT INTO t VALUES (1)")
         db.execute("COMMIT")
         assert txn.commit_lsn == 2
