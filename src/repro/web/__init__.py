@@ -8,14 +8,13 @@ servlet endpoints (:class:`EasiaApp`).
 * :mod:`repro.web.auth` — users, roles, guest limits,
 * :mod:`repro.web.qbe` — Query-By-Example translation to SQL,
 * :mod:`repro.web.forms` — query/operation/login form HTML,
-* :mod:`repro.web.browse` — PK/FK/LOB/DATALINK hyperlink cells,
-* :mod:`repro.web.render` — result tables with operations links,
+* :mod:`repro.web.view` — one user's view of one table, its only reader,
+* :mod:`repro.web.render` — result tables: hyperlinked cells, operations,
 * :mod:`repro.web.app` — the assembled application.
 """
 
 from repro.web.app import EasiaApp
 from repro.web.auth import ROLES, User, UserManager
-from repro.web.browse import CellRenderer
 from repro.web.forms import (
     page,
     render_login_form,
@@ -32,7 +31,7 @@ from repro.web.http import (
     escape,
 )
 from repro.web.qbe import OPERATORS, QbeQuery, Restriction, build_query_from_params
-from repro.web.render import render_result_table, result_rows_as_dicts
+from repro.web.render import CellRenderer, render_result_table, result_rows_as_dicts
 
 __all__ = [
     "EasiaApp",

@@ -33,11 +33,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.datalink import DataLinker
-from repro.errors import (
-    AuthenticationError,
-    AuthorizationError,
-    WebError,
-)
+from repro.errors import AuthenticationError, AuthorizationError, WebError
 from repro.operations import CodeUploader, OperationEngine
 from repro.sqldb.database import Database
 from repro.sqldb.types import Blob, Clob, DatalinkValue
@@ -50,7 +46,8 @@ from repro.web.forms import (
 )
 from repro.web.http import Request, Response, ServletContainer, escape
 from repro.web.qbe import build_query_from_params
-from repro.web.render import render_result_table, result_rows_as_dicts
+from repro.web.render import render_result_table
+from repro.web.view import TableView, find_datalink
 from repro.xuis.model import XuisDocument, parse_colid
 
 __all__ = ["EasiaApp"]
@@ -64,8 +61,6 @@ def _int_param(request: Request, name: str, default: int) -> int:
 
 
 def _export_cell_text(value) -> str:
-    from repro.sqldb.types import Blob
-
     if value is None:
         return ""
     if isinstance(value, Blob):
@@ -224,19 +219,29 @@ class EasiaApp:
         )
         return Response.html(page(document.title, f"<ul>{items}</ul>"))
 
-    def _visible_table(self, request: Request, param: str = "table"):
-        """The user, their XUIS and the table named by ``param``.  Every
-        table handler refuses a table the user's XUIS hides (400)."""
+    def _view(self, request: Request, param: str = "table"):
+        """The user and their :class:`TableView` of the table ``param``
+        names: a hidden or unknown table is refused (400)."""
         user = request.require_user()
-        document = self.document_for(user)
-        table = document.table(request.require_param(param))
-        if table.hidden:
-            raise WebError(f"table {table.name} is not available")
-        return user, document, table
+        table = request.require_param(param)
+        return user, TableView(self.db, self.document_for(user), table)
+
+    def _view_column(self, request: Request, param: str):
+        """The user, their view and the visible column that the colid in
+        ``param`` names: a hidden or unknown one is refused (400)."""
+        user = request.require_user()
+        table, column = parse_colid(request.require_param(param))
+        view = TableView(self.db, self.document_for(user), table)
+        return user, view, view.column(column)
+
+    def _render(self, view: TableView, result, user, footer: str = "") -> Response:
+        return Response.html(render_result_table(
+            self.db, view.document, view.table.name, result, user, footer
+        ))
 
     def _query_form(self, request: Request) -> Response:
-        _user, _document, table = self._visible_table(request)
-        return Response.html(render_query_form(table))
+        _user, view = self._view(request)
+        return Response.html(render_query_form(view.table))
 
     def _search(self, request: Request) -> Response:
         """QBE submission -> one page of the hyperlinked result table.
@@ -247,11 +252,8 @@ class EasiaApp:
         rows) the pagination total.  A ``limit`` caps the rows the search
         reaches; ``page``/``page_size`` page through at most that many.
         """
-        user, document, table = self._visible_table(request)
-        query = build_query_from_params(table.name, request.params)
-        if not self.db.catalog.is_view(table.name):
-            query.bind_types(self.db.catalog.schema(table.name))
-
+        user, view = self._view(request)
+        query = build_query_from_params(view.table.name, request.params)
         page_number = max(1, _int_param(request, "page", 1))
         page_size = max(1, _int_param(request, "page_size", 50))
         cap = query.limit
@@ -260,37 +262,22 @@ class EasiaApp:
             page_size if cap is None
             else max(0, min(page_size, cap - query.offset))
         )
-        # Pagination is only meaningful over a deterministic order: default
-        # to the primary key (the engine runs ORDER BY ... LIMIT as top-N).
-        visible = [c.colid for c in table.visible_columns()]
-        candidates = [c for c in table.primary_key if c in visible] or visible
-        query.ensure_order(candidates)
-        if query.order_by is None:
-            raise WebError(f"table {table.name} has no queryable columns")
-
-        sql, params = query.to_sql(table)
-        result = self.db.execute(sql, params)
+        result = view.search(query)
         total = result.matched_rows
         if cap is not None:
             total = min(total, cap)
         footer = self._pagination_footer(
             request, page_number, page_size, total
         )
-        return Response.html(
-            render_result_table(
-                self.db, document, table.name, result, user, footer_html=footer
-            )
-        )
+        return self._render(view, result, user, footer)
 
     def _export(self, request: Request) -> Response:
         """Download query results as CSV or XML (same QBE parameters as
         ``/search``, plus ``format=csv|xml``)."""
-        _user, _document, table = self._visible_table(request)
-        query = build_query_from_params(table.name, request.params)
-        if not self.db.catalog.is_view(table.name):
-            query.bind_types(self.db.catalog.schema(table.name))
-        sql, params = query.to_sql(table)
-        result = self.db.execute(sql, params)
+        _user, view = self._view(request)
+        result = view.search(
+            build_query_from_params(view.table.name, request.params)
+        )
 
         export_format = request.param("format", "csv").lower()
         if export_format == "csv":
@@ -299,7 +286,7 @@ class EasiaApp:
             )
         if export_format == "xml":
             return Response.data(
-                _rows_as_xml(table.name, result.columns, result.rows),
+                _rows_as_xml(view.table.name, result.columns, result.rows),
                 "application/xml",
             )
         raise WebError(f"unknown export format {export_format!r}")
@@ -326,106 +313,42 @@ class EasiaApp:
         parts.append("</p>")
         return "".join(parts)
 
-    @staticmethod
-    def _order_clause(document, table_name: str) -> str:
-        """``ORDER BY <pk>`` for tables whose XUIS spec names a primary
-        key, so repeated browse requests return rows in a stable order."""
-        if not document.has_table(table_name):
-            return ""
-        primary_key = document.table(table_name).primary_key
-        if not primary_key:
-            return ""
-        columns = ", ".join(parse_colid(c)[1] for c in primary_key)
-        return f" ORDER BY {columns}"
-
     def _whole_table(self, request: Request) -> Response:
-        user, document, table = self._visible_table(request, "name")
-        visible = ", ".join(c.colid for c in table.visible_columns())
-        sql = (
-            f"SELECT {visible} FROM {table.name}"
-            + self._order_clause(document, table.name)
-        )
-        limit = _int_param(request, "limit", 0)
-        if limit > 0:
-            # LIMIT makes the engine keep a top-N heap over the PK order
-            # instead of materialising and sorting the whole table.
-            sql += f" LIMIT {limit}"
-        result = self.db.execute(sql)
-        return Response.html(
-            render_result_table(self.db, document, table.name, result, user)
-        )
+        user, view = self._view(request, "name")
+        # a LIMIT makes the engine keep a top-N heap over the key order
+        # instead of materialising and sorting the whole table
+        result = view.rows(limit=_int_param(request, "limit", 0))
+        return self._render(view, result, user)
 
     def _browse_fk(self, request: Request) -> Response:
         """Foreign-key browsing: full details of the referenced row."""
-        user = request.require_user()
-        document = self.document_for(user)
-        colid = request.require_param("colid")
-        value = request.require_param("value")
-        column = document.column(colid)
-        if column.fk is None:
-            raise WebError(f"{colid} is not a foreign key")
-        ref_table, ref_column = parse_colid(column.fk.tablecolumn)
-        result = self.db.execute(
-            f"SELECT * FROM {ref_table} WHERE {ref_column} = ?"
-            + self._order_clause(document, ref_table),
-            (value,),
-        )
-        return Response.html(
-            render_result_table(self.db, document, ref_table, result, user)
-        )
+        user, view, column = self._view_column(request, "colid")
+        target = view.follow(column.fk.tablecolumn) if column.fk else None
+        if target is None:
+            raise WebError(f"{column.colid} links to no available column")
+        ref_view, key = target
+        result = ref_view.rows([key], [request.require_param("value")])
+        return self._render(ref_view, result, user)
 
     def _browse_pk(self, request: Request) -> Response:
         """Primary-key browsing: all referencing rows in one child table."""
-        user = request.require_user()
-        document = self.document_for(user)
-        ref = request.require_param("ref")
-        value = request.require_param("value")
-        child_table, child_column = parse_colid(ref)
-        result = self.db.execute(
-            f"SELECT * FROM {child_table} WHERE {child_column} = ?"
-            + self._order_clause(document, child_table),
-            (value,),
-        )
-        return Response.html(
-            render_result_table(self.db, document, child_table, result, user)
-        )
+        user, view, column = self._view_column(request, "ref")
+        result = view.rows([column], [request.require_param("value")])
+        return self._render(view, result, user)
 
     # -- object rematerialisation -----------------------------------------------------------
-
-    def _find_row(self, table_name: str, params: dict[str, Any]):
-        """Locate one row via ``key_<COLUMN>`` parameters."""
-        schema = self.db.catalog.schema(table_name)
-        clauses = []
-        values = []
-        for key, value in params.items():
-            if key.startswith("key_"):
-                column = key[len("key_"):].upper()
-                schema.column(column)  # validates
-                clauses.append(f"{column} = ?")
-                values.append(value)
-        if not clauses:
-            raise WebError("no key_<column> parameters supplied")
-        sql = f"SELECT * FROM {table_name} WHERE " + " AND ".join(clauses)
-        result = self.db.execute(sql, tuple(values))
-        if len(result.rows) != 1:
-            raise WebError(
-                f"key parameters matched {len(result.rows)} rows (need exactly 1)"
-            )
-        return result_rows_as_dicts(table_name, result)[0]
 
     def _lob(self, request: Request) -> Response:
         """Rematerialise a BLOB/CLOB 'and return [it] to the user's browser
         with the appropriate MIME type set'."""
-        request.require_user()
-        table_name = request.require_param("table").upper()
-        column_name = request.require_param("column").upper()
-        row = self._find_row(table_name, request.params)
-        value = row.get(f"{table_name}.{column_name}")
+        _user, view = self._view(request)
+        column = view.column(request.require_param("column"))
+        value = view.row(request.params)[column.colid]
         if isinstance(value, Blob):
             return Response.data(value.data, value.mime_type)
         if isinstance(value, Clob):
             return Response.data(value.text.encode("utf-8"), value.mime_type)
-        raise WebError(f"{table_name}.{column_name} holds no LOB for this row")
+        raise WebError(f"{column.colid} holds no LOB for this row")
 
     def _download(self, request: Request) -> Response:
         """Dataset download via the DATALINK's file server.
@@ -437,51 +360,38 @@ class EasiaApp:
         url = request.require_param("url")
         value = DatalinkValue.parse_tokenized(url)
         if value.token is None:
-            # No token in the URL: obtain one through the datalink manager,
-            # exactly as a fresh SELECT would.
-            column = self._datalink_column_for(value)
-            spec = column.type.spec if column is not None else None
-            value = self.linker.decorate(value, spec)
+            # no token in the URL: read the value through a column the
+            # user sees, which issues one as any page does
+            value = find_datalink(self.db, self.document_for(user), value.url)
+            if value is None:
+                return Response.error("no visible dataset is linked there", 404)
         data = self.linker.download(value)
         return Response.data(data, "application/octet-stream")
-
-    def _datalink_column_for(self, value: DatalinkValue):
-        """Find the schema column whose stored value matches this URL."""
-        for table in self.db.catalog.tables():
-            for column in table.schema.datalink_columns:
-                index = table.schema.column_index(column.name)
-                for _rowid, row in table.scan():
-                    stored = row[index]
-                    if stored is not None and stored.url == value.url:
-                        return column
-        return None
 
     # -- operations -------------------------------------------------------------------------
 
     def _operation_context(self, request: Request):
-        user = request.require_user()
-        document = self.document_for(user)
-        colid = request.require_param("colid")
-        table_name, _column = parse_colid(colid)
-        row = self._find_row(table_name, request.params)
-        return user, document, colid, row
+        """The user, the visible column ``colid`` names and the stored row
+        that the ``key_`` parameters name."""
+        user, view, column = self._view_column(request, "colid")
+        return user, column, view.row(request.params)
 
     def _operation_form(self, request: Request) -> Response:
-        user, document, colid, row = self._operation_context(request)
+        user, column, _row = self._operation_context(request)
         name = request.require_param("name")
-        operation = self.engine.operation(colid, name)
+        operation = self.engine.operation(column.colid, name)
         if not user.can_run_operation(operation):
             raise AuthorizationError(f"guests may not run {name}")
-        hidden = {"name": name, "colid": colid}
+        hidden = {"name": name, "colid": column.colid}
         for key, value in request.params.items():
             if key.startswith("key_"):
                 hidden[key] = str(value)
         return Response.html(render_operation_form(operation, hidden=hidden))
 
     def _operation_run(self, request: Request) -> Response:
-        user, _document, colid, row = self._operation_context(request)
+        user, column, row = self._operation_context(request)
         name = request.require_param("name")
-        operation = self.engine.operation(colid, name)
+        operation = self.engine.operation(column.colid, name)
         params = {
             param.name: request.params[param.name]
             for param in operation.params
@@ -491,7 +401,7 @@ class EasiaApp:
             request.session.session_id if request.session else "anonymous"
         )
         result = self.engine.invoke(
-            name, colid, row, params, user=user, session_tag=session_tag
+            name, column.colid, row, params, user=user, session_tag=session_tag
         )
         return self._operation_response(result)
 
@@ -518,10 +428,9 @@ class EasiaApp:
     # -- code upload ---------------------------------------------------------------------------
 
     def _upload_form(self, request: Request) -> Response:
-        user, document, colid, _row = self._operation_context(request)
-        column = document.column(colid)
+        user, column, _row = self._operation_context(request)
         if column.upload is None:
-            raise WebError(f"{colid} does not accept uploads")
+            raise WebError(f"{column.colid} does not accept uploads")
         if user.is_guest and not column.upload.guest_access:
             raise AuthorizationError("guest users cannot upload post-processing codes")
         hidden = "".join(
@@ -537,7 +446,7 @@ class EasiaApp:
         return Response.html(page("Upload post-processing code", body))
 
     def _upload_run(self, request: Request) -> Response:
-        user, _document, colid, row = self._operation_context(request)
+        user, column, row = self._operation_context(request)
         archive = request.files.get("archive")
         if archive is None:
             raise WebError("no archive file uploaded")
@@ -546,7 +455,8 @@ class EasiaApp:
             request.session.session_id if request.session else "anonymous"
         )
         result = self.uploader.run_upload(
-            colid, row, archive, class_name, user=user, session_tag=session_tag
+            column.colid, row, archive, class_name, user=user,
+            session_tag=session_tag
         )
         return self._operation_response(result)
 

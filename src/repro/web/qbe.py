@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.errors import WebError
-from repro.xuis.model import XuisTable, parse_colid
+from repro.xuis.model import XuisColumn, parse_colid
 
 __all__ = ["QbeQuery", "Restriction", "OPERATORS", "build_query_from_params"]
 
@@ -73,19 +73,6 @@ class QbeQuery:
         self.limit = limit
         self.offset = offset
 
-    def validate(self, xuis_table: XuisTable) -> None:
-        """Reject references to unknown or hidden columns — users cannot
-        smuggle hidden attributes back through hand-crafted parameters."""
-        visible = {c.colid for c in xuis_table.visible_columns()}
-        for colid in self.fields:
-            if colid not in visible:
-                raise WebError(f"field {colid} is not queryable")
-        for restriction in self.restrictions:
-            if restriction.colid not in visible:
-                raise WebError(f"restriction on non-queryable {restriction.colid}")
-        if self.order_by is not None and self.order_by not in visible:
-            raise WebError(f"cannot order by {self.order_by}")
-
     def bind_types(self, schema) -> None:
         """Coerce restriction values (HTML forms deliver strings) to the
         engine types of their columns, using the catalog ``schema``.
@@ -107,29 +94,23 @@ class QbeQuery:
                     f"bad restriction value for {restriction.colid}: {exc}"
                 ) from exc
 
-    def ensure_order(self, colids: list[str]) -> None:
-        """Default the sort order to the first of ``colids`` (typically the
-        table's primary-key colids) when the form requested none.
+    def to_sql(self, columns: list[XuisColumn] | None = None) -> tuple[str, tuple]:
+        """Render as parameterised SQL; returns ``(sql, params)``.
 
-        Paginated results are only meaningful over a deterministic order;
-        the engine turns the resulting ``ORDER BY ... LIMIT`` into a top-N
-        heap, so the default costs O(n log k), not a full sort.
-        """
-        if self.order_by is None and colids:
-            self.order_by = colids[0].upper()
-
-    def to_sql(self, xuis_table: XuisTable | None = None) -> tuple[str, tuple]:
-        """Render as parameterised SQL; returns ``(sql, params)``."""
-        if xuis_table is not None:
-            self.validate(xuis_table)
-            default_fields = [c.colid for c in xuis_table.visible_columns()]
-        else:
-            default_fields = []
-        fields = self.fields or default_fields
-        if fields:
-            select_list = ", ".join(_column_expr(colid) for colid in fields)
-        else:
-            select_list = "*"
+        ``columns`` are what the user may see of the table (a
+        :class:`~repro.web.view.TableView`'s): every field, restriction and
+        the order must name one of them — hidden attributes cannot be
+        smuggled back through hand-crafted parameters — and no fields
+        means all of them.  Without ``columns``, no fields means ``*``."""
+        fields = self.fields
+        if columns is not None:
+            visible = {c.colid for c in columns}
+            for colid in [*fields, *(r.colid for r in self.restrictions),
+                          *filter(None, [self.order_by])]:
+                if colid not in visible:
+                    raise WebError(f"{colid} is not queryable")
+            fields = fields or [c.colid for c in columns]
+        select_list = ", ".join(map(_column_expr, fields)) if fields else "*"
         where, params = self._where()
         sql = [f"SELECT {select_list} FROM {self.table}{where}"]
         if self.order_by:
