@@ -75,9 +75,7 @@ def test_bench_fig8_url_operation(benchmark, engine, row):
 
 
 def test_bench_fig8_uploaded_code(benchmark, engine, archive, row):
-    from repro.operations import CodeUploader
 
-    uploader = CodeUploader(engine)
     user = archive.users.user("turbulence")
     code = pack_code_archive({
         "MeanU.py": (
@@ -96,7 +94,7 @@ def test_bench_fig8_uploaded_code(benchmark, engine, archive, row):
     })
 
     result = benchmark(
-        lambda: uploader.run_upload(COLID, row, code, "MeanU", user=user)
+        lambda: engine.run_upload(COLID, row, code, "MeanU", user=user)
     )
     assert "mean.txt" in result.outputs
 

@@ -5,7 +5,9 @@ analysis code, which runs in a sandbox *next to the data* on the file
 server — the multi-hundred-megabyte dataset never crosses the network,
 only the analysis result does.
 
-Also demonstrates the sandbox refusing hostile uploads, and the batch-file
+Uploaded code runs through the same pipeline as an XUIS operation
+(fetch, unpack, execute, collect), under the strict upload policy.  Also
+demonstrates the sandbox refusing hostile uploads, and the batch-file
 mechanism the implementation section describes.
 
 Run:  python examples/code_upload.py
@@ -15,7 +17,6 @@ import tempfile
 
 from repro import build_turbulence_archive, pack_code_archive
 from repro.errors import AuthorizationError, SandboxViolation
-from repro.operations import CodeUploader
 
 COLID = "RESULT_FILE.DOWNLOAD_RESULT"
 
@@ -54,14 +55,13 @@ secrets = open('../../etc/passwd').read()
 def main() -> None:
     archive = build_turbulence_archive(n_simulations=1, timesteps=1, grid=16)
     engine = archive.make_engine(tempfile.mkdtemp(prefix="easia-upload-"))
-    uploader = CodeUploader(engine)
     row = archive.result_rows()[0]
 
     member = archive.users.user("turbulence")
     guest = archive.users.user("guest")
 
     # -- authorised upload runs next to the data ---------------------------
-    result = uploader.run_upload(
+    result = engine.run_upload(
         COLID, row, pack_code_archive({"KineticEnergy.py": KINETIC_ENERGY}),
         "KineticEnergy", user=member,
     )
@@ -76,7 +76,7 @@ def main() -> None:
 
     # -- guests are refused -------------------------------------------------
     try:
-        uploader.run_upload(
+        engine.run_upload(
             COLID, row, pack_code_archive({"X.py": b"pass"}), "X", user=guest
         )
     except AuthorizationError as exc:
@@ -84,7 +84,7 @@ def main() -> None:
 
     # -- hostile code is confined -------------------------------------------
     try:
-        uploader.run_upload(
+        engine.run_upload(
             COLID, row, pack_code_archive({"Hostile.py": HOSTILE}),
             "Hostile", user=member,
         )

@@ -52,7 +52,6 @@ from repro.netsim import (
     transfer_seconds,
 )
 from repro.operations import (
-    CodeUploader,
     OperationCache,
     OperationEngine,
     OperationStats,
@@ -96,7 +95,6 @@ __all__ = [
     "OperationEngine",
     "OperationCache",
     "OperationStats",
-    "CodeUploader",
     "pack_code_archive",
     "generate_default_xuis",
     "serialize_xuis",

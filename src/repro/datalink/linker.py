@@ -132,7 +132,7 @@ class DataLinker(DatalinkHooks):
                 )
             self._queue(txn, "unlink", server, path, spec)
 
-    def decorate(self, value: DatalinkValue, spec, user: str | None = None) -> DatalinkValue:
+    def decorate(self, value: DatalinkValue, spec) -> DatalinkValue:
         """SELECT-time decoration: attach access token and file size.
 
         Paper: "Hypertext link displays size of object - contains an

@@ -6,7 +6,8 @@ XUIS markup and executed next to the data — only the (small) results
 cross the network.
 
 * :class:`OperationEngine` — resolve / fetch / unpack / execute / collect,
-* :class:`CodeUploader` — user code upload under the strict sandbox,
+  for XUIS operations and for user code uploads (under the strict
+  sandbox policy) alike,
 * :class:`Sandbox` / :class:`SandboxPolicy` — confinement,
 * :class:`BatchScript` / :func:`pack_code_archive` — the batch-file
   mechanism and archive packaging,
@@ -18,17 +19,16 @@ cross the network.
 from repro.operations.archive_back import ResultArchiver
 from repro.operations.batch import BatchScript, pack_code_archive, unpack_archive
 from repro.operations.cache import OperationCache
-from repro.operations.executor import OperationEngine, OperationResult
+from repro.operations.executor import OperationEngine, OperationResult, output_mime
 from repro.operations.sandbox import Sandbox, SandboxPolicy, SandboxResult
 from repro.operations.stats import OperationStats
-from repro.operations.upload import CodeUploader
 from repro.operations.urlops import identity_service, scientific_data_browser
 
 __all__ = [
     "OperationEngine",
     "OperationResult",
+    "output_mime",
     "ResultArchiver",
-    "CodeUploader",
     "Sandbox",
     "SandboxPolicy",
     "SandboxResult",

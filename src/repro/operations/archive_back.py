@@ -15,19 +15,11 @@ from typing import Any
 
 from repro.datalink.linker import DataLinker
 from repro.errors import OperationError
-from repro.operations.executor import OperationResult
+from repro.operations.executor import OperationResult, output_mime
 from repro.sqldb.database import Database
 from repro.sqldb.types import Blob, DatalinkValue
 
 __all__ = ["ResultArchiver"]
-
-_MIME_BY_SUFFIX = {
-    ".pgm": "image/x-portable-graymap",
-    ".png": "image/png",
-    ".json": "application/json",
-    ".html": "text/html",
-    ".txt": "text/plain",
-}
 
 #: outputs up to this size also get an in-database BLOB preview
 _PREVIEW_LIMIT = 64 * 1024
@@ -78,10 +70,9 @@ class ResultArchiver:
         server.put(path, data)
 
         suffix = "." + output_name.rsplit(".", 1)[-1] if "." in output_name else ""
-        mime = _MIME_BY_SUFFIX.get(suffix, "application/octet-stream")
         preview = None
         if len(data) <= _PREVIEW_LIMIT:
-            preview = Blob(data, mime)
+            preview = Blob(data, output_mime(output_name))
 
         url = f"{dataset.scheme}://{dataset.host}{path}"
         try:

@@ -22,6 +22,7 @@ operation chaining / multi-dataset application.
 
 from __future__ import annotations
 
+import os
 import time
 from typing import Any, Callable, Iterable
 
@@ -47,10 +48,27 @@ from repro.xuis.model import (
     parse_colid,
 )
 
-__all__ = ["OperationEngine", "OperationResult"]
+__all__ = ["OperationEngine", "OperationResult", "output_mime"]
 
 #: progress stages reported to monitoring hooks, in order
 STAGES = ("resolve", "fetch", "unpack", "execute", "collect")
+
+_OUTPUT_MIME = {
+    ".pgm": "image/x-portable-graymap",
+    ".png": "image/png",
+    ".html": "text/html",
+    ".json": "application/json",
+    ".txt": "text/plain",
+}
+
+
+def output_mime(filename: str) -> str:
+    """The MIME type an output file is shipped and archived with.
+
+    >>> output_mime("slice.pgm"), output_mime("subsampled.turb")
+    ('image/x-portable-graymap', 'application/octet-stream')
+    """
+    return _OUTPUT_MIME.get(os.path.splitext(filename)[1], "application/octet-stream")
 
 
 class OperationResult:
@@ -172,25 +190,9 @@ class OperationEngine:
 
     # -- lookup -------------------------------------------------------------------------
 
-    def operations_for(self, colid: str, row: dict[str, Any],
-                       user=None) -> list[OperationSpec]:
-        """Operations applicable to ``row`` on ``colid`` for ``user``."""
-        column = self.document.column(colid)
-        out = []
-        for operation in column.operations:
-            if not operation.applies_to(row):
-                continue
-            if user is not None and not user.can_run_operation(operation):
-                continue
-            out.append(operation)
-        return out
-
     def operation(self, colid: str, name: str) -> OperationSpec:
-        column = self.document.column(colid)
-        for operation in column.operations:
-            if operation.name == name:
-                return operation
-        raise OperationError(f"no operation {name!r} on column {colid}")
+        """The operation ``name`` on ``colid`` in the deployment's XUIS."""
+        return self.document.column(colid).operation(name)
 
     # -- invocation -----------------------------------------------------------------------
 
@@ -241,11 +243,7 @@ class OperationEngine:
         self._current_session = session_tag
         self._progress(name, "resolve")
 
-        dataset = row.get(colid)
-        if not isinstance(dataset, DatalinkValue):
-            raise OperationError(
-                f"row has no DATALINK dataset in column {colid}"
-            )
+        dataset = self._dataset(colid, row)
         obs = get_observability()
         cache_key = self.cache.key(name, dataset.url, params)
         if use_cache:
@@ -260,26 +258,20 @@ class OperationEngine:
         with obs.tracer.span(
             "operation.invoke", operation=name, dataset=dataset.url
         ) as span:
-            started = time.perf_counter()
-            self._progress(name, "fetch", dataset.url)
-            server = self.linker.server(dataset.host)
-            # The operation runs on the file-server host: the dataset is read
-            # locally, never shipped over the wide area.
-            data = server.filesystem.read(dataset.server_path)
-
             if isinstance(operation.location, UrlLocation):
-                result = self._invoke_url_service(operation, data, params, started)
+                result = self._invoke_url_service(operation, dataset, params)
             else:
-                result = self._invoke_archived(
-                    operation, dataset, data, params, session_tag, started
+                code = self._resolve_code_link(operation)
+                result = self._run_archive(
+                    operation, dataset, params, session_tag,
+                    self.linker.server(code.host).filesystem.read(code.server_path),
+                    code.filename, operation.filename,
+                    SandboxPolicy.for_operations(),
                 )
             span.set(
                 dataset_bytes=result.dataset_bytes,
                 output_bytes=result.output_bytes,
             )
-        self.stats.record(
-            name, result.elapsed, result.dataset_bytes, result.output_bytes
-        )
         if obs.enabled:
             obs.metrics.counter("operation.invocations", operation=name).inc()
             obs.metrics.histogram("operation.seconds").observe(result.elapsed)
@@ -290,73 +282,129 @@ class OperationEngine:
             self.cache.put(cache_key, result)
         return result
 
-    def _invoke_url_service(self, operation, data, params, started) -> OperationResult:
+    def run_upload(
+        self,
+        colid: str,
+        row: dict[str, Any],
+        archive: bytes,
+        class_name: str,
+        user=None,
+        params: dict[str, Any] | None = None,
+        session_tag: str = "upload",
+    ) -> OperationResult:
+        """Run an uploaded archive's ``class_name`` against the row's
+        dataset, as an operation runs but under the strict upload policy
+        (the paper's "special secure application class").  The column
+        must declare ``<upload>``, its ``<if>`` conditions must hold for
+        the row, and guests are refused unless ``guest.access="true"``.
+        ``class_name`` is the user's requested entry point (the paper's
+        reflection target), e.g. ``MyAnalysis`` -> ``MyAnalysis.py``."""
+        upload = self.document.column(colid).upload
+        if upload is None:
+            raise OperationError(f"column {colid} does not accept code uploads")
+        if not upload.applies_to(row):
+            raise OperationNotApplicable("code upload is not permitted for this row")
+        if user is not None and not user.can_upload(upload):
+            raise AuthorizationError("guest users cannot upload post-processing codes")
+        spec = OperationSpec(
+            f"upload:{class_name}", type=upload.type, format=upload.format
+        )
+        self._current_session = session_tag
+        self._progress(spec.name, "resolve")
+        return self._run_archive(
+            spec, self._dataset(colid, row), params or {}, session_tag,
+            archive, "upload.jar", class_name, SandboxPolicy.for_uploads(),
+        )
+
+    @staticmethod
+    def _dataset(colid: str, row: dict[str, Any]) -> DatalinkValue:
+        dataset = row.get(colid)
+        if not isinstance(dataset, DatalinkValue):
+            raise OperationError(
+                f"row has no DATALINK dataset in column {colid}"
+            )
+        return dataset
+
+    def _fetch(self, name: str, dataset: DatalinkValue) -> bytes:
+        """The dataset, read on its own file server: the code runs next to
+        the data, which never crosses the wide area."""
+        self._progress(name, "fetch", dataset.url)
+        return self.linker.server(dataset.host).filesystem.read(dataset.server_path)
+
+    def _invoke_url_service(self, operation, dataset, params) -> OperationResult:
         url = operation.location.url
         handler = self._url_services.get(url)
         if handler is None:
             raise OperationError(
                 f"no service registered for URL operation at {url}"
             )
+        started = time.perf_counter()
+        data = self._fetch(operation.name, dataset)
         self._progress(operation.name, "execute", url)
         outputs = handler(data, params)
         if not isinstance(outputs, dict):
             raise OperationError("URL service must return a dict of outputs")
         self._progress(operation.name, "collect")
-        return OperationResult(
+        result = OperationResult(
             operation, outputs,
             elapsed=time.perf_counter() - started,
             dataset_bytes=len(data),
         )
+        self.stats.record(
+            operation.name, result.elapsed, result.dataset_bytes, result.output_bytes
+        )
+        return result
 
-    def _invoke_archived(self, operation, dataset, data, params,
-                         session_tag, started) -> OperationResult:
-        location = operation.location
-        if not isinstance(location, DatabaseResultLocation):
-            raise OperationError(
-                f"operation {operation.name} has no usable location"
-            )
-        code_link = self._resolve_code_link(location)
-        code_server = self.linker.server(code_link.host)
-        archive = code_server.filesystem.read(code_link.server_path)
-
+    def _run_archive(self, spec: OperationSpec, dataset: DatalinkValue,
+                     params: dict[str, Any], session_tag: str, archive: bytes,
+                     archive_name: str, entry: str,
+                     policy: SandboxPolicy) -> OperationResult:
+        """The one sandbox pipeline, for operations and uploads alike: fetch
+        the dataset into a fresh session-named directory, unpack
+        ``archive`` beside it, run the entry point ``entry`` names under
+        ``policy``, collect the outputs, record the run and clean up."""
+        started = time.perf_counter()
+        data = self._fetch(spec.name, dataset)
         workdir = self.sandbox.make_workdir(session_tag)
         try:
             with open(f"{workdir}/{dataset.filename}", "wb") as fh:
                 fh.write(data)
-            self._progress(operation.name, "unpack", code_link.filename)
+            self._progress(spec.name, "unpack", archive_name)
             members = unpack_archive(archive, workdir)
-            entry_name, source = self._entry_point(
-                operation, workdir, members
-            )
-            script = BatchScript(
-                workdir, code_link.filename, entry_name, dataset.filename
-            )
-            self._progress(operation.name, "execute", entry_name)
+            entry_name, source = self._entry_point(spec, entry, workdir, members)
+            self._progress(spec.name, "execute", entry_name)
             with get_observability().tracer.span(
-                "operation.sandbox", operation=operation.name, entry=entry_name
+                "operation.sandbox", operation=spec.name, entry=entry_name
             ):
                 sandbox_result = self.sandbox.run_source(
-                    source,
-                    workdir,
-                    dataset.filename,
-                    params,
-                    policy=SandboxPolicy.for_operations(),
+                    source, workdir, dataset.filename, params, policy=policy
                 )
-            self._progress(operation.name, "collect")
-            return OperationResult(
-                operation,
+            self._progress(spec.name, "collect")
+            result = OperationResult(
+                spec,
                 sandbox_result.outputs,
                 sandbox_result.stdout,
-                batch_script=script,
+                batch_script=BatchScript(
+                    workdir, archive_name, entry_name, dataset.filename
+                ),
                 elapsed=time.perf_counter() - started,
                 dataset_bytes=len(data),
             )
         finally:
             if not self.keep_workdirs:
                 self.sandbox.cleanup(workdir)
+        self.stats.record(
+            spec.name, result.elapsed, result.dataset_bytes, result.output_bytes
+        )
+        return result
 
-    def _resolve_code_link(self, location: DatabaseResultLocation) -> DatalinkValue:
+    def _resolve_code_link(self, operation: OperationSpec) -> DatalinkValue:
         """Run the <database.result> query to find the code's DATALINK."""
+        location = operation.location
+        if not isinstance(location, DatabaseResultLocation):
+            raise OperationError(
+                f"operation {operation.name} has no usable location"
+            )
         table, column = parse_colid(location.colid)
         clauses = []
         params: list[Any] = []
@@ -382,21 +430,21 @@ class OperationEngine:
             raise OperationError(f"{location.colid} did not yield a DATALINK")
         return value
 
-    def _entry_point(self, operation, workdir: str, members: list[str]) -> tuple[str, str]:
-        """Find the executable member.  The XUIS names a Java class file
-        (``GetImage.class``); the Python stand-in is ``<stem>.py``, with
-        ``main.py`` as fallback."""
-        stem = operation.filename.rsplit(".", 1)[0] if operation.filename else ""
-        candidates = []
-        if stem:
-            candidates.extend([f"{stem}.py", operation.filename])
-        candidates.append("main.py")
+    @staticmethod
+    def _entry_point(spec: OperationSpec, name: str, workdir: str,
+                     members: list[str]) -> tuple[str, str]:
+        """The executable member and its source.  The XUIS names a Java
+        class file (``GetImage.class``) and an upload a class
+        (``MyAnalysis``); the Python stand-in is ``<stem>.py``, then the
+        name itself, with ``main.py`` as fallback."""
+        stem = name.rsplit(".", 1)[0]
+        candidates = [f"{stem}.py", name, "main.py"] if stem else ["main.py"]
         for candidate in candidates:
             if candidate in members:
                 with open(f"{workdir}/{candidate}", encoding="utf-8") as fh:
                     return candidate, fh.read()
         raise OperationError(
-            f"archive for {operation.name} has no entry point "
+            f"archive for {spec.name} has no entry point "
             f"(tried {candidates}; members: {sorted(members)})"
         )
 

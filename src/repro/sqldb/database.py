@@ -133,7 +133,7 @@ class DatalinkHooks:
     def statement_rollback(self, txn, mark: Any) -> None:
         """Discard pending link operations queued after ``mark``."""
 
-    def decorate(self, value: DatalinkValue, spec, user: str | None = None) -> DatalinkValue:
+    def decorate(self, value: DatalinkValue, spec) -> DatalinkValue:
         """Called for every DATALINK value in a SELECT result; returns the
         value to present (token attached for READ PERMISSION DB columns)."""
         return value
@@ -175,8 +175,6 @@ class Database:
         #: per-thread implicit connection (``execute`` without ``connect``),
         #: plus the pool's per-request override
         self._tls = threading.local()
-        #: identity of the requesting user, consulted when issuing tokens
-        self.current_user: str | None = None
         #: populated by recovery on durable databases: replayed/skipped
         #: transaction counts, torn-tail bytes, checkpoint watermark/epoch
         self.recovery_stats: dict[str, int] | None = None
@@ -948,7 +946,7 @@ class Database:
             for i, spec in enumerate(specs):
                 value = new_row[i]
                 if spec is not None and isinstance(value, DatalinkValue):
-                    new_row[i] = self._hooks.decorate(value, spec, self.current_user)
+                    new_row[i] = self._hooks.decorate(value, spec)
             out.append(tuple(new_row))
         return out
 

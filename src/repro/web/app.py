@@ -34,7 +34,7 @@ from typing import Any
 
 from repro.datalink import DataLinker
 from repro.errors import AuthenticationError, AuthorizationError, WebError
-from repro.operations import CodeUploader, OperationEngine
+from repro.operations import OperationEngine, output_mime
 from repro.sqldb.database import Database
 from repro.sqldb.types import Blob, Clob, DatalinkValue
 from repro.web.auth import UserManager
@@ -96,16 +96,6 @@ def _rows_as_xml(table_name: str, columns: list[str], rows: list[tuple]) -> byte
     return ET.tostring(root, encoding="utf-8", xml_declaration=True)
 
 
-_OUTPUT_MIME = {
-    ".pgm": "image/x-portable-graymap",
-    ".png": "image/png",
-    ".html": "text/html",
-    ".json": "application/json",
-    ".txt": "text/plain",
-    ".turb": "application/octet-stream",
-}
-
-
 class EasiaApp:
     """The assembled archive application."""
 
@@ -122,15 +112,13 @@ class EasiaApp:
     ) -> None:
         self.db = db
         self.linker = linker
-        self.document = document
         self.users = users
         self.engine = engine
-        self.uploader = CodeUploader(engine)
-        #: personalisation: different user classes may see different XUIS
+        # the deployment's XUIS is stored once, on the engine
+        engine.document = document
+        #: personalisation: different user classes may see different XUIS,
+        #: each narrowing the deployment's (see :meth:`document_for`)
         self.documents_by_role = documents_by_role or {}
-        # One source of truth: the engine evaluates operation conditions
-        # against the same document the interface renders.
-        self.engine.document = document
         self.container = ServletContainer(session_max_idle, time_source)
         self._register_routes()
 
@@ -178,8 +166,16 @@ class EasiaApp:
             raise AuthenticationError(response.text)
         return response.headers["X-Session-Id"]
 
+    @property
+    def document(self) -> XuisDocument:
+        """The deployment's XUIS, which the operation engine runs."""
+        return self.engine.document
+
     def document_for(self, user) -> XuisDocument:
-        """Personalisation hook: role-specific XUIS if configured."""
+        """Personalisation hook: role-specific XUIS if configured.  A role
+        document may only narrow the deployment's: a route offers only
+        what the user's document lists, and the engine runs only what
+        the deployment's lists."""
         if user is not None and user.role in self.documents_by_role:
             return self.documents_by_role[user.role]
         return self.document
@@ -379,7 +375,7 @@ class EasiaApp:
     def _operation_form(self, request: Request) -> Response:
         user, column, _row = self._operation_context(request)
         name = request.require_param("name")
-        operation = self.engine.operation(column.colid, name)
+        operation = column.operation(name)
         if not user.can_run_operation(operation):
             raise AuthorizationError(f"guests may not run {name}")
         hidden = {"name": name, "colid": column.colid}
@@ -391,7 +387,8 @@ class EasiaApp:
     def _operation_run(self, request: Request) -> Response:
         user, column, row = self._operation_context(request)
         name = request.require_param("name")
-        operation = self.engine.operation(column.colid, name)
+        # the user's column is the authority: it lists what they may run
+        operation = column.operation(name)
         params = {
             param.name: request.params[param.name]
             for param in operation.params
@@ -408,9 +405,7 @@ class EasiaApp:
     def _operation_response(self, result) -> Response:
         if len(result.outputs) == 1:
             output_name, data = next(iter(result.outputs.items()))
-            suffix = "." + output_name.rsplit(".", 1)[-1]
-            mime = _OUTPUT_MIME.get(suffix, "application/octet-stream")
-            return Response.data(data, mime)
+            return Response.data(data, output_mime(output_name))
         items = "".join(
             f"<li>{escape(name)} ({len(data)} bytes)</li>"
             for name, data in sorted(result.outputs.items())
@@ -427,12 +422,18 @@ class EasiaApp:
 
     # -- code upload ---------------------------------------------------------------------------
 
-    def _upload_form(self, request: Request) -> Response:
-        user, column, _row = self._operation_context(request)
+    def _upload_column(self, request: Request):
+        """:meth:`_operation_context` for an upload the user's column
+        offers them."""
+        user, column, row = self._operation_context(request)
         if column.upload is None:
             raise WebError(f"{column.colid} does not accept uploads")
-        if user.is_guest and not column.upload.guest_access:
+        if not user.can_upload(column.upload):
             raise AuthorizationError("guest users cannot upload post-processing codes")
+        return user, column, row
+
+    def _upload_form(self, request: Request) -> Response:
+        self._upload_column(request)
         hidden = "".join(
             f'<input type="hidden" name="{escape(k)}" value="{escape(v)}"/>'
             for k, v in request.params.items()
@@ -446,7 +447,7 @@ class EasiaApp:
         return Response.html(page("Upload post-processing code", body))
 
     def _upload_run(self, request: Request) -> Response:
-        user, column, row = self._operation_context(request)
+        user, column, row = self._upload_column(request)
         archive = request.files.get("archive")
         if archive is None:
             raise WebError("no archive file uploaded")
@@ -454,7 +455,7 @@ class EasiaApp:
         session_tag = (
             request.session.session_id if request.session else "anonymous"
         )
-        result = self.uploader.run_upload(
+        result = self.engine.run_upload(
             column.colid, row, archive, class_name, user=user,
             session_tag=session_tag
         )
@@ -636,8 +637,8 @@ class EasiaApp:
 
         GET returns the active specification as XML; POST with an ``xuis``
         file validates the uploaded document against the DTD rules and the
-        live catalog, then installs it atomically for the app *and* the
-        operation engine."""
+        live catalog, then installs it as the deployment's XUIS, which the
+        app renders and the operation engine runs."""
         user = request.require_user()
         if not user.can_manage_users:
             raise AuthorizationError("XUIS management requires the admin role")
@@ -649,7 +650,6 @@ class EasiaApp:
                 raise WebError("no xuis file uploaded")
             document = parse_xuis(payload.decode("utf-8"))
             assert_valid(document, self.db)
-            self.document = document
             self.engine.document = document
             return Response.html(
                 page("XUIS installed",

@@ -78,6 +78,10 @@ class User:
             return bool(operation.guest_access)
         return True
 
+    def can_upload(self, upload) -> bool:
+        """Guests upload code only where the XUIS flags guest.access."""
+        return self.can_upload_code or bool(upload.guest_access)
+
     def __repr__(self) -> str:
         return f"User({self.username!r}, role={self.role})"
 

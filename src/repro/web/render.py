@@ -224,9 +224,7 @@ class _OperationLinks:
                           f"/operation/form?name={name}&colid={colid}&",
                           escape(operation.name))
             upload = column.upload
-            if upload is not None and (
-                user is None or user.can_upload_code or upload.guest_access
-            ):
+            if upload is not None and (user is None or user.can_upload(upload)):
                 self._add(upload, position, "upload",
                           f"/upload/form?colid={colid}&", "Upload code")
 

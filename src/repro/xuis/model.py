@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable
 
-from repro.errors import TypeMismatchError, XuisError
+from repro.errors import OperationError, TypeMismatchError, XuisError
 from repro.sqldb.expressions import BinaryOp, ColumnRef, Like, Literal
 
 __all__ = [
@@ -406,6 +406,13 @@ class XuisColumn:
     @property
     def display_name(self) -> str:
         return self.alias or self.name
+
+    def operation(self, name: str) -> OperationSpec:
+        """The operation ``name`` this column lists; any other is refused."""
+        for operation in self.operations:
+            if operation.name == name:
+                return operation
+        raise OperationError(f"no operation {name!r} on column {self.colid}")
 
     def __repr__(self) -> str:
         return f"XuisColumn({self.colid!r}, {self.type!r})"

@@ -134,43 +134,40 @@ class TestOperationFailures:
         return build_turbulence_archive(n_simulations=1, timesteps=1, grid=8)
 
     def test_crashing_operation_reports_cleanly(self, archive, tmp_path):
-        from repro.operations import CodeUploader, pack_code_archive
+        from repro.operations import pack_code_archive
 
         engine = archive.make_engine(str(tmp_path / "sb"))
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
         row = archive.result_rows()[0]
         crasher = pack_code_archive({"Boom.py": b"raise ValueError('kaput')"})
         with pytest.raises(OperationError) as excinfo:
-            uploader.run_upload(COLID, row, crasher, "Boom", user=user)
+            engine.run_upload(COLID, row, crasher, "Boom", user=user)
         assert "kaput" in str(excinfo.value)
 
     def test_workdir_cleaned_after_crash(self, archive, tmp_path):
-        from repro.operations import CodeUploader, pack_code_archive
+        from repro.operations import pack_code_archive
 
         sandbox_root = tmp_path / "sb2"
         engine = archive.make_engine(str(sandbox_root))
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
         row = archive.result_rows()[0]
         crasher = pack_code_archive({"Boom.py": b"1/0"})
         with pytest.raises(OperationError):
-            uploader.run_upload(COLID, row, crasher, "Boom", user=user)
+            engine.run_upload(COLID, row, crasher, "Boom", user=user)
         leftovers = [
             p for p in sandbox_root.rglob("*") if p.is_dir()
         ]
         assert leftovers == []
 
     def test_infinite_loop_upload_is_killed(self, archive, tmp_path):
-        from repro.operations import CodeUploader, pack_code_archive
+        from repro.operations import pack_code_archive
 
         engine = archive.make_engine(str(tmp_path / "sb3"))
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
         row = archive.result_rows()[0]
         spinner = pack_code_archive({"Spin.py": b"while True:\n    pass\n"})
         with pytest.raises(SandboxViolation):
-            uploader.run_upload(COLID, row, spinner, "Spin", user=user)
+            engine.run_upload(COLID, row, spinner, "Spin", user=user)
 
     def test_operation_code_row_missing(self, archive, tmp_path):
         """If the CODE_FILE row is deleted, invocation fails with a clear

@@ -201,8 +201,6 @@ class TestXuisDrivesEverything:
         app = EasiaApp(
             archive.db, archive.linker, trimmed, archive.users, engine,
         )
-        # swap the engine's document too (one source of truth in prod)
-        engine.document = trimmed
         session = app.login("guest", "guest")
         listing = app.get(
             "/table", {"name": "RESULT_FILE"}, session_id=session

@@ -65,8 +65,9 @@ class TestSliceBrowser:
 
     def test_guest_may_run_it(self, engine, archive, row):
         guest = archive.users.user("guest")
-        names = {o.name for o in engine.operations_for(COLID, row, guest)}
-        assert "SliceBrowser" in names
+        result = engine.invoke("SliceBrowser", COLID, row, {"type": "u"},
+                               user=guest, use_cache=False)
+        assert "browser.html" in result.outputs
 
     def test_served_through_portal_as_html(self, archive, tmp_path):
         from repro import EasiaApp

@@ -1,6 +1,7 @@
 """Tests for the operations framework: sandbox, batch, engine, upload,
 cache, stats, URL services."""
 
+import re
 import sys
 import threading
 
@@ -41,6 +42,20 @@ def row(archive):
 
 
 COLID = "RESULT_FILE.DOWNLOAD_RESULT"
+
+
+def _offered(archive, row, user):
+    """The operations the rendered Operations cell of ``row`` offers ``user``."""
+    from repro.web.render import render_result_table
+
+    result = archive.db.execute(
+        "SELECT * FROM RESULT_FILE WHERE SIMULATION_KEY = ? AND FILE_NAME = ?",
+        (row["SIMULATION_KEY"], row["FILE_NAME"]),
+    )
+    page = render_result_table(
+        archive.db, archive.document, "RESULT_FILE", result, user
+    )
+    return set(re.findall(r'class="operation" href="/operation/form\?name=(\w+)', page))
 
 
 class TestSandbox:
@@ -319,19 +334,22 @@ class TestEngine:
         with pytest.raises(AuthorizationError):
             engine.invoke("Subsample", COLID, row, {"factor": "2"}, user=guest)
 
-    def test_operations_for_filters_by_user(self, engine, archive, row):
+    def test_operation_links_filter_by_user(self, engine, archive, row):
         guest = archive.users.user("guest")
         full = archive.users.user("turbulence")
-        guest_ops = {o.name for o in engine.operations_for(COLID, row, guest)}
-        full_ops = {o.name for o in engine.operations_for(COLID, row, full)}
+        guest_ops = _offered(archive, row, guest)
+        full_ops = _offered(archive, row, full)
         assert "Subsample" not in guest_ops
+        assert "GetImage" in guest_ops
         assert "Subsample" in full_ops
 
-    def test_conditions_gate_applicability(self, engine, row):
+    def test_conditions_gate_applicability(self, engine, archive, row):
         other = dict(row)
         other["RESULT_FILE.FILE_FORMAT"] = "HDF"
         other["FILE_FORMAT"] = "HDF"
-        assert engine.operations_for(COLID, other) == []
+        for operation in archive.document.column(COLID).operations:
+            with pytest.raises(OperationNotApplicable):
+                engine.invoke(operation.name, COLID, other)
         with pytest.raises(OperationNotApplicable):
             engine.invoke("GetImage", COLID, other, {"slice": "x0", "type": "u"})
 
@@ -438,11 +456,8 @@ class TestCodeUpload:
         })
 
     def test_upload_runs(self, engine, archive, row):
-        from repro.operations import CodeUploader
-
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
-        result = uploader.run_upload(
+        result = engine.run_upload(
             COLID, row, self.make_code(), "MyCount", user=user
         )
         assert result.outputs["count.txt"] == str(
@@ -450,50 +465,35 @@ class TestCodeUpload:
         ).encode()
 
     def test_guest_upload_denied(self, engine, archive, row):
-        from repro.operations import CodeUploader
-
-        uploader = CodeUploader(engine)
         guest = archive.users.user("guest")
         with pytest.raises(AuthorizationError):
-            uploader.run_upload(COLID, row, self.make_code(), "MyCount", user=guest)
+            engine.run_upload(COLID, row, self.make_code(), "MyCount", user=guest)
 
     def test_upload_conditions_enforced(self, engine, archive, row):
-        from repro.operations import CodeUploader
-
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
         other = dict(row)
         other["RESULT_FILE.MEASUREMENT"] = "u only"
         other["MEASUREMENT"] = "u only"
         with pytest.raises(OperationNotApplicable):
-            uploader.run_upload(COLID, other, self.make_code(), "MyCount", user=user)
+            engine.run_upload(COLID, other, self.make_code(), "MyCount", user=user)
 
     def test_upload_sandboxed(self, engine, archive, row):
-        from repro.operations import CodeUploader
-
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
         evil = pack_code_archive({"Evil.py": b"import os\nos.remove('x')\n"})
         with pytest.raises(SandboxViolation):
-            uploader.run_upload(COLID, row, evil, "Evil", user=user)
+            engine.run_upload(COLID, row, evil, "Evil", user=user)
 
     def test_upload_missing_entry(self, engine, archive, row):
-        from repro.operations import CodeUploader
-
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
         with pytest.raises(OperationError):
-            uploader.run_upload(
+            engine.run_upload(
                 COLID, row, pack_code_archive({"other.txt": b"x"}),
                 "MyCount", user=user,
             )
 
     def test_upload_stats_recorded(self, engine, archive, row):
-        from repro.operations import CodeUploader
-
-        uploader = CodeUploader(engine)
         user = archive.users.user("turbulence")
-        uploader.run_upload(COLID, row, self.make_code(), "MyCount", user=user)
+        engine.run_upload(COLID, row, self.make_code(), "MyCount", user=user)
         assert engine.stats.summary("upload:MyCount").invocations >= 1
 
 

@@ -140,16 +140,17 @@ class TestGuestRestrictionClaims:
 
     def test_all_three_restrictions(self, archive, engine):
         from repro.errors import AuthorizationError
-        from repro.operations import CodeUploader, pack_code_archive
+        from repro.operations import pack_code_archive
 
         guest = archive.users.user("guest")
         row = archive.result_rows()[0]
         assert not guest.can_download
         with pytest.raises(AuthorizationError):
-            CodeUploader(engine).run_upload(
+            engine.run_upload(
                 COLID, row, pack_code_archive({"X.py": b"pass"}), "X",
                 user=guest,
             )
-        names = {o.name for o in engine.operations_for(COLID, row, guest)}
-        assert "Subsample" not in names          # restricted
-        assert "GetImage" in names               # guest.access="true"
+        with pytest.raises(AuthorizationError):  # restricted
+            engine.invoke("Subsample", COLID, row, {"factor": "2"}, user=guest)
+        # guest.access="true"
+        assert engine.invoke("GetImage", COLID, row, user=guest).outputs

@@ -1,14 +1,15 @@
 """Hidden means hidden: what a personalised XUIS hides, no route shows.
 
 Hypothesis draws one personalisation per role (guest and user): any
-subset of tables and of columns hidden, plus column aliases.  For each
-draw the test walks every data route — ``/query``, ``/search``,
-``/table``, ``/export``, ``/browse/pk``, ``/browse/fk``, ``/lob``,
-``/download``, ``/operation/form`` and ``/upload/form`` — with parameters
-read from the live archive, as a guest and as a consortium member, and
-checks each response:
+subset of tables and of columns hidden, column aliases, and operations
+removed.  For each draw the test walks every data route — ``/query``,
+``/search``, ``/table``, ``/export``, ``/browse/pk``, ``/browse/fk``,
+``/lob``, ``/download``, ``/operation/form`` and ``/upload/form`` — with
+parameters read from the live archive, as a guest and as a consortium
+member, and checks each response:
 
-* a request that names a hidden table or column gets a 4xx;
+* a request that names a hidden table or column gets a 4xx, and so does
+  ``/operation/form`` or ``/operation/run`` for a removed operation;
 * no response shows a hidden column's header, alias or value, nor a
   value of a hidden table's rows, and no link leads to a hidden object.
 
@@ -216,34 +217,51 @@ def _requests(document, live):
 
 
 def _profiles(data, document):
+    """A profile per role, and the ``(colid, name)`` of the operations
+    each removes."""
     tables = [t.name for t in document.tables]
     colids = [c.colid for t in document.tables for c in t.columns]
-    profiles = {}
+    operations = [(c.colid, o.name) for c, o in document.all_operations()]
+    profiles, removed = {}, {}
     for role in ROLES:
         hide_tables = data.draw(st.sets(st.sampled_from(tables), max_size=2))
         hide_columns = data.draw(st.sets(st.sampled_from(colids), max_size=8))
         aliased = data.draw(st.sets(st.sampled_from(colids), max_size=6))
+        removed[role] = data.draw(st.sets(st.sampled_from(operations), max_size=3))
 
         def profile(c, hide_tables=hide_tables, hide_columns=hide_columns,
-                    aliased=aliased):
+                    aliased=aliased, remove=removed[role]):
             for table in hide_tables:
                 c.hide_table(table)
             for colid in hide_columns:
                 c.hide_column(colid)
             for colid in aliased:
                 c.column_alias(colid, _alias(colid))
+            for colid, name in remove:
+                c.remove_operation(colid, name)
             return c
 
         profiles[role] = profile
-    return profiles
+    return profiles, removed
 
 
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_no_route_shows_what_the_xuis_hides(archive, engine, live, data):
-    app, sessions = _portal(archive, engine, _profiles(data, archive.document))
+    profiles, removed = _profiles(data, archive.document)
+    app, sessions = _portal(archive, engine, profiles)
     for role, session in sessions.items():
         sight = _Sight(app.documents_by_role[role], live)
+        for colid, name in removed[role]:
+            table = sight.document.table(colid.partition(".")[0])
+            row = live[table.name][0]
+            params = {"name": name, "colid": colid,
+                      **{f"key_{c.partition('.')[2]}": row[c]
+                         for c in table.primary_key}}
+            for path in ("/operation/form", "/operation/run"):
+                response = app.get(path, params, session_id=session)
+                assert 400 <= response.status < 500, (role, path, params)
+                sight.check(path, params, response)
         for path, params, names in _requests(sight.document, live):
             response = app.get(path, params, session_id=session)
             named_hidden = [
@@ -375,3 +393,52 @@ def test_download_without_token_of_an_unknown_url_is_404(archive, engine, live):
     missing = url.replace("ts0000", "ts9999")
     assert app.get("/download", {"url": missing},
                    session_id=sessions["user"]).status == 404
+
+
+# -- operations and uploads per role: the user's column is the authority -------
+
+
+_RESULT = {"colid": "RESULT_FILE.DOWNLOAD_RESULT", "key_FILE_NAME": "ts0000.turb",
+           "key_SIMULATION_KEY": _S0}
+
+
+def test_user_cannot_run_an_operation_their_xuis_removed(archive, engine):
+    app, sessions = _portal(archive, engine, {
+        "user": lambda c: c.remove_operation(_RESULT["colid"], "FieldStats"),
+    })
+    user = sessions["user"]
+    page = app.get("/browse/pk", {"ref": "RESULT_FILE.SIMULATION_KEY",
+                                  "value": _S0}, session_id=user)
+    assert page.status == 200
+    assert "name=FieldStats" not in page.text
+    for path in ("/operation/form", "/operation/run"):
+        response = app.get(path, {"name": "FieldStats", **_RESULT}, session_id=user)
+        assert 400 <= response.status < 500, path
+    # the operation the user's column still lists runs
+    run = app.get("/operation/run", {"name": "Vorticity", "slice": "x1", **_RESULT},
+                  session_id=user)
+    assert run.status == 200
+
+
+def test_guest_cannot_run_an_operation_their_xuis_removed(archive, engine):
+    app, sessions = _portal(archive, engine, {
+        "guest": lambda c: c.remove_operation(_RESULT["colid"], "GetImage"),
+    })
+    response = app.get("/operation/run",
+                       {"name": "GetImage", "slice": "x1", "type": "u", **_RESULT},
+                       session_id=sessions["guest"])
+    assert 400 <= response.status < 500
+    assert not response.content_type.startswith("image/")
+
+
+def test_user_cannot_upload_where_their_xuis_offers_no_upload(archive, engine):
+    from repro.operations import pack_code_archive
+
+    app, sessions = _portal(archive, engine, {"user": lambda c: c})
+    app.documents_by_role["user"].column(_RESULT["colid"]).upload = None
+    code = pack_code_archive({"Size.py": b"open('n.txt', 'w').write('1')\n"})
+    run = app.post("/upload/run", {"class": "Size", **_RESULT},
+                   session_id=sessions["user"], files={"archive": code})
+    assert 400 <= run.status < 500
+    form = app.get("/upload/form", _RESULT, session_id=sessions["user"])
+    assert 400 <= form.status < 500
