@@ -54,7 +54,12 @@ secrets = open('../../etc/passwd').read()
 
 def main() -> None:
     archive = build_turbulence_archive(n_simulations=1, timesteps=1, grid=16)
-    engine = archive.make_engine(tempfile.mkdtemp(prefix="easia-upload-"))
+    with tempfile.TemporaryDirectory(prefix="easia-upload-") as sandbox:
+        run(archive, archive.make_engine(sandbox))
+
+
+def run(archive, engine) -> None:
+    """The walkthrough, on an engine whose sandbox ``main`` removes."""
     row = archive.result_rows()[0]
 
     member = archive.users.user("turbulence")

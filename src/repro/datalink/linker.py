@@ -139,17 +139,16 @@ class DataLinker(DatalinkHooks):
         encrypted key, required to access the file from the remote file
         server."
         """
-        decorated = value
+        path = value.server_path
+        size, token = value.size, value.token
         if self.has_server(value.host):
-            server = self.server(value.host)
             try:
-                decorated = decorated.with_size(server.dl_size(value.server_path))
+                size = self.server(value.host).dl_size(path)
             except FileNotFoundOnServer:
                 pass  # NO LINK CONTROL values may point at absent files
         if spec is not None and spec.requires_token:
-            scope = f"{value.host}{value.server_path}"
-            decorated = decorated.with_token(self.tokens.issue(scope))
-        return decorated
+            token = self.tokens.issue(f"{value.host}{path}")
+        return value.annotated(token, size)
 
     # -- transactional bookkeeping ------------------------------------------------------
 

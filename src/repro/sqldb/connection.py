@@ -194,6 +194,25 @@ class TableSnapshot:
         out.extend(known[rowid] for rowid in by_key.get(key, ()))
         return out
 
+    def ordered(self, index, prefix: tuple, window: tuple[int, int] | None,
+                ) -> tuple[list[tuple], int] | None:
+        """The rows whose sorted ``index`` key starts with ``prefix``, in
+        index order (those at the ``(start, stop)`` positions of
+        ``window``, or all when None), and the length of that range.
+
+        None when the table has a row written after the snapshot: the live
+        index and rows are then not the snapshot's.  Reads the index, then
+        the live rows, then the marks, as :meth:`lookup` does, so a write
+        the marks do not show changed nothing that was read."""
+        heap = self._table.heap
+        rowids = index.prefix(prefix)
+        pairs = heap.live_pairs(
+            rowids if window is None else rowids[window[0]:window[1]]
+        )
+        if heap.late_rowids(self.snapshot):
+            return None
+        return [row for _rowid, row in pairs], len(rowids)
+
     def index_leading_on(self, column: str):
         return self._table.index_leading_on(column)
 

@@ -1067,6 +1067,7 @@ class Database:
             table = self.catalog.table(table_name)
             for rowid, row in WriteAheadLog.decode_table_rows(entries):
                 table.insert(row, rowid)
+            table.heap.restore_order()
         self._commit_loaded()
 
     def _commit_loaded(self) -> None:

@@ -59,6 +59,13 @@ from repro.sqldb.planner import (
     single_alias_filters,
 )
 from repro.sqldb.storage import SortedIndex, _NullsFirstKey, nulls_first_rank
+from repro.sqldb.types import (
+    BlobType,
+    CharType,
+    ClobType,
+    DatalinkType,
+    VarcharType,
+)
 
 __all__ = ["Executor", "SelectResult"]
 
@@ -192,14 +199,34 @@ class Executor:
         self.bind_subqueries(self._statement_expressions(stmt), params, plan)
         bound = self._bind_tables(stmt)
         layout = _Layout(bound)
+        items = self._expand_items(stmt, bound)
+        # GROUP BY and ORDER BY may name a select-list alias (ORDER BY n
+        # for "COUNT(*) AS n"); those resolve to the aliased expression.
+        alias_exprs = {item.alias: item.expr for item in items if item.alias}
+        grouped = bool(stmt.group_by) or any(
+            item.expr is not None and item.expr.contains_aggregate()
+            for item in items
+        ) or (stmt.having is not None and stmt.having.contains_aggregate())
+        offset = stmt.offset or 0
 
         where_conjuncts = conjuncts(stmt.where)
+        # whether the access path yields rows in ORDER BY order, and the
+        # matched-row count when its index range gives it
+        in_order, matched = False, None
         if bound:
             stage_filters, residual = assign_filters(
                 where_conjuncts, [b.alias for b in bound], layout.unambiguous
             )
+            order = None
+            if (stmt.limit is not None and len(bound) == 1 and not residual
+                    and not grouped and not stmt.distinct):
+                order = _index_order(stmt.order_by, alias_exprs, bound[0])
+            rows, in_order, matched = self._access_path(
+                bound[0], where_conjuncts, params, plan, order,
+                offset, offset + (stmt.limit or 0),
+            )
             rows = self._produce_rows(
-                stmt, bound, layout, params, plan, instrument, stage_filters,
+                rows, bound, layout, params, plan, instrument, stage_filters,
             )
         else:
             # SELECT without FROM: a single empty row.
@@ -213,15 +240,6 @@ class Executor:
         if residual:
             keep = _conjunction(residual, resolve, params)
             rows = (row for row in rows if keep(row) is True)
-
-        items = self._expand_items(stmt, bound)
-        # GROUP BY and ORDER BY may name a select-list alias (ORDER BY n
-        # for "COUNT(*) AS n"); those resolve to the aliased expression.
-        alias_exprs = {item.alias: item.expr for item in items if item.alias}
-        grouped = bool(stmt.group_by) or any(
-            item.expr is not None and item.expr.contains_aggregate()
-            for item in items
-        ) or (stmt.having is not None and stmt.having.contains_aggregate())
 
         if grouped:
             rows, resolve = self._group(
@@ -247,9 +265,7 @@ class Executor:
 
         # Only the rows that survive ORDER BY / LIMIT / OFFSET are projected;
         # every row that reaches this step is counted (matched_rows).
-        offset = stmt.offset or 0
-        matched: int | None = None
-        if stmt.order_by:
+        if stmt.order_by and not in_order:
             order_key = _compile_order_key(
                 stmt.order_by, alias_exprs, resolve, params
             )
@@ -279,6 +295,12 @@ class Executor:
             kept = kept[offset:]
         elif stmt.limit is not None:
             plan.append(f"limit {stmt.limit} (early stop)")
+            if in_order and matched is None:
+                # filters beyond the index prefix: count the rows they keep
+                rows = list(rows)
+                matched = len(rows)
+            elif in_order:
+                offset = 0  # the counted range skipped the offset unread
             kept = list(islice(rows, offset, offset + stmt.limit))
             self._record_step(step_stats, plan, len(kept), 0.0)
         else:
@@ -435,7 +457,7 @@ class Executor:
 
     def _produce_rows(
         self,
-        stmt: SelectStmt,
+        rows: Iterator[tuple],
         bound: list[_BoundTable],
         layout: "_Layout",
         params: Sequence[Any],
@@ -443,12 +465,9 @@ class Executor:
         instrument: Callable[[Iterator[tuple]], Iterator[tuple]] | None,
         stage_filters: list[list[Expression]],
     ) -> Iterator[tuple]:
-        where_conjuncts = conjuncts(stmt.where)
-        equalities = constant_equalities(where_conjuncts, params)
-        ranges = range_bounds(where_conjuncts, params)
-
+        """Filter the first FROM entry's ``rows`` (its access path) and
+        join the other entries onto them."""
         first = bound[0]
-        rows = self._access_path(first, equalities, ranges, plan)
         if instrument is not None:
             rows = instrument(rows)
         rows = self._pushed_filters(
@@ -510,56 +529,142 @@ class Executor:
     def _access_path(
         self,
         entry: _BoundTable,
-        equalities: list[tuple[ColumnRef, Any]],
-        ranges,
+        where_conjuncts: list[Expression],
+        params: Sequence[Any],
         plan: list[str],
-    ) -> Iterator[tuple]:
-        """Choose index point-lookup, range scan or sequential scan for a
-        base table.
+        order: tuple[str, ...] | None = None,
+        offset: int = 0,
+        top: int = 0,
+    ) -> tuple[Iterator[tuple], bool, int | None]:
+        """Choose an index-ordered read, index point-lookup, range scan or
+        sequential scan for a base table.  Returns the rows, whether they
+        arrive in ORDER BY order, and the matched-row count when the index
+        range gives it.
 
         Collects every ``column = constant`` binding on this table, then
         looks for an index whose full key is covered — so composite
         primary keys (FILE_NAME, SIMULATION_KEY) get point lookups too.
-        Failing that, a single-column sorted index whose column carries a
-        range bound drives :meth:`SortedIndex.range_scan`.  Every
-        originating predicate remains as a pushed filter, so a lookup or
-        range is free to return a superset of the matching rows (as reads
-        at a snapshot do, see :class:`~repro.sqldb.connection.TableSnapshot`).
+        When the statement asks for ``order`` (see :func:`_index_order`)
+        and no unique key is bound, a sorted index over bound leading
+        columns and then ``order`` reads rows ``offset`` to ``top`` in
+        order instead (:meth:`_index_ordered`).  Failing both, a
+        single-column sorted index whose column carries a range bound
+        drives :meth:`SortedIndex.range_scan`.  Every originating
+        predicate remains as a pushed filter, so a lookup or range is free
+        to return a superset of the matching rows (as reads at a snapshot
+        do, see :class:`~repro.sqldb.connection.TableSnapshot`).
         """
+        equalities = [
+            (ref, value)
+            for ref, value in constant_equalities(where_conjuncts, params)
+            if self._ref_on(entry, ref)
+        ]
         bound: dict[str, Any] = {}
+        exact: dict[str, Any] = {}
         for ref, value in equalities:
-            if not self._ref_on(entry, ref):
-                continue
+            column_type = entry.schema.column(ref.column).type
             try:
-                bound[ref.column] = entry.schema.column(
-                    ref.column
-                ).type.validate(value)
+                key = column_type.validate(value)
             except Exception:
                 continue  # incomparable constant: not usable for a lookup
+            bound[ref.column] = key
+            if _exact_equality(column_type, key, value):
+                exact[ref.column] = key
 
-        if bound:
-            best = None
-            for index in entry.table.indexes.values():
-                if all(column in bound for column in index.columns):
-                    if best is None or len(index.columns) > len(best.columns):
-                        best = index
-            if best is not None:
-                key = tuple(bound[column] for column in best.columns)
-                plan.append(
-                    f"index lookup {entry.alias} via {best.name} "
-                    f"({', '.join(best.columns)} = {key!r})"
-                )
-                rows = entry.table.lookup(best, key)
-                self.rows_scanned += len(rows)
-                return iter(rows)
+        best = None
+        for index in entry.table.indexes.values():
+            if all(column in bound for column in index.columns):
+                if best is None or len(index.columns) > len(best.columns):
+                    best = index
+        if order is not None and not (best is not None and best.unique):
+            only_equalities = len(equalities) == len(where_conjuncts)
+            read = self._index_ordered(
+                entry, exact, order, (offset, top), best,
+                [ref.column for ref, _ in equalities]
+                if only_equalities else None,
+                plan,
+            )
+            if read is not None:
+                return read
+        if best is not None:
+            key = tuple(bound[column] for column in best.columns)
+            plan.append(
+                f"index lookup {entry.alias} via {best.name} "
+                f"({', '.join(best.columns)} = {key!r})"
+            )
+            rows = entry.table.lookup(best, key)
+            self.rows_scanned += len(rows)
+            return iter(rows), False, None
 
+        ranges = range_bounds(where_conjuncts, params)
         scan = self._range_scan(entry, ranges, plan)
         if scan is not None:
-            return scan
+            return scan, False, None
 
         plan.append(f"seq scan {entry.alias} ({len(entry.table)} rows)")
         self.rows_scanned += len(entry.table)
-        return map(itemgetter(1), entry.table.scan())
+        return map(itemgetter(1), entry.table.scan()), False, None
+
+    def _index_ordered(
+        self,
+        entry: _BoundTable,
+        exact: dict[str, Any],
+        order: tuple[str, ...],
+        window: tuple[int, int],
+        lookup,
+        equality_columns: list[str] | None,
+        plan: list[str],
+    ) -> tuple[Iterator[tuple], bool, int | None] | None:
+        """Rows in ``order`` from a sorted index whose leading columns
+        ``exact`` binds and whose other columns are ``order``: the key
+        prefix's range, read in index order.
+
+        Equal keys come out in rowid order, the order a scan yields them
+        in (:meth:`~repro.sqldb.storage.Heap.restore_order`), so ties
+        break as the sort would break them.  When ``equality_columns``
+        (the WHERE clause's, if it holds nothing else) are the prefix,
+        every row of the range matches and no other row does: only the
+        rows of the page ``window`` (offset, offset + limit) are read,
+        and the range's length is the matched-row count.  Otherwise every
+        row of the range is read and filtered.
+
+        None when no index fits, when the point ``lookup`` binds a column
+        the prefix does not, or when a row was written after the snapshot
+        (the scan and sort then run instead).
+        """
+        width = len(order)
+        index = None
+        for candidate in entry.table.indexes.values():
+            prefix = candidate.columns[:-width]
+            if (
+                isinstance(candidate, SortedIndex)
+                and candidate.columns[len(prefix):] == order
+                and all(column in exact for column in prefix)
+                and (index is None
+                     or len(candidate.columns) > len(index.columns))
+            ):
+                index = candidate
+        if index is None:
+            return None
+        prefix = index.columns[:-width]
+        if lookup is not None and not set(lookup.columns) <= set(prefix):
+            return None
+        counted = equality_columns is not None and sorted(
+            equality_columns
+        ) == sorted(prefix)
+        key = tuple(exact[column] for column in prefix)
+        read = entry.table.ordered(index, key, window if counted else None)
+        if read is None:
+            return None
+        rows, matched = read
+        bound = ", ".join(f"{c} = {exact[c]!r}" for c in prefix) or "all rows"
+        plan.append(
+            f"index-ordered scan {entry.alias} via {index.name} ({bound}; "
+            f"in order of {', '.join(order)}): {len(rows)} of {matched} rows"
+            + (", counted from the range" if counted else "")
+        )
+        self.rows_scanned += len(rows)
+        return iter(rows), True, matched if counted else None
 
     def _range_scan(self, entry: _BoundTable, ranges,
                     plan: list[str]) -> Iterator[tuple] | None:
@@ -913,6 +1018,36 @@ class _Layout:
             return None if index is None else start + index
 
         return resolve
+
+
+def _index_order(orders, alias_exprs: dict[str, Expression],
+                 entry: _BoundTable) -> tuple[str, ...] | None:
+    """The columns of ``entry`` an ORDER BY sorts on, when a sorted index
+    over them can yield its order: every key an ascending plain column
+    that is NOT NULL (a sorted index holds no key with a NULL part)."""
+    columns = []
+    for order in orders:
+        expr = _unalias(order.expr, alias_exprs)
+        if not (order.ascending and type(expr) is ColumnRef
+                and Executor._ref_on(entry, expr)
+                and not entry.schema.column(expr.column).nullable):
+            return None
+        columns.append(expr.column)
+    return tuple(columns) or None
+
+
+def _exact_equality(column_type, key: Any, value: Any) -> bool:
+    """Whether ``column = value`` holds for exactly the stored values whose
+    index key is ``key`` (``value`` validated): then an index range is
+    the set of rows the comparison keeps, and its length their count."""
+    if value is None:
+        return True  # = NULL keeps no row; no key has a NULL part
+    if isinstance(column_type, CharType):
+        return isinstance(value, str)  # both sides padded to the width
+    if isinstance(column_type,
+                  (VarcharType, BlobType, ClobType, DatalinkType)):
+        return False  # 'a' = 'a ' (PAD SPACE); LOBs rank by their text
+    return nulls_first_rank(key) == nulls_first_rank(value)
 
 
 def _unalias(expr: Expression, alias_exprs: dict[str, Expression]) -> Expression:

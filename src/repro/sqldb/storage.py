@@ -52,7 +52,7 @@ access path.
 from __future__ import annotations
 
 import threading
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, insort
 from typing import Any, Iterator, Sequence
 
 from repro.errors import CatalogError, TypeMismatchError, UniqueViolation
@@ -98,12 +98,15 @@ class Heap:
         self.mark_count = 0
         #: rowid -> [(created, deleted, row), ...] superseded versions
         self._history: dict[int, list[tuple[int, int, tuple]]] = {}
+        #: whether a reinstated row sits after a larger rowid in ``_rows``
+        self._reordered = False
 
     def insert(self, row: tuple, rowid: int | None = None) -> int:
         """Store ``row``; returns its rowid.
 
         An explicit ``rowid`` is used by rollback/recovery to reinstate a
-        row under its original identity.
+        row under its original identity; one below a stored rowid leaves
+        the rows out of rowid order until :meth:`restore_order`.
         """
         if rowid is None:
             rowid = self._next_rowid
@@ -112,6 +115,8 @@ class Heap:
             if rowid in self._rows:
                 raise CatalogError(f"rowid {rowid} already present")
             self._next_rowid = max(self._next_rowid, rowid + 1)
+            if self._rows and rowid < next(reversed(self._rows)):
+                self._reordered = True
         self._written[rowid] = self.clock.pending
         self.mark_count += 1
         self._rows[rowid] = row
@@ -139,6 +144,14 @@ class Heap:
         self._rows[rowid] = row
         return old
 
+    def restore_order(self) -> None:
+        """Put reinstated rows back in rowid order, the order scans yield
+        rows in and a sorted index breaks ties in.  Readers keep reading
+        whichever dict they hold: the writer stops changing the old one."""
+        if self._reordered:
+            self._rows = dict(sorted(self._rows.items()))
+            self._reordered = False
+
     def rewrite(self, rowid: int, row: tuple) -> None:
         """Replace a row in place with *no* version bookkeeping.
 
@@ -157,7 +170,7 @@ class Heap:
             raise CatalogError(f"no row with rowid {rowid}") from None
 
     def scan(self) -> Iterator[tuple[int, tuple]]:
-        """Yield ``(rowid, row)`` pairs in insertion order."""
+        """Yield ``(rowid, row)`` pairs in rowid order."""
         yield from list(self._rows.items())
 
     # -- snapshot reads ---------------------------------------------------------
@@ -266,24 +279,24 @@ def nulls_first_rank(value: Any) -> tuple:
     return (3, value)
 
 
+def _rank(key: tuple) -> tuple:
+    """The sort rank of an index key: each part's :func:`nulls_first_rank`."""
+    return tuple([nulls_first_rank(part) for part in key])
+
+
+#: sorts after every part of a rank (:func:`nulls_first_rank` tags are 0-3),
+#: so ``rank + (_TOP,)`` bounds every rank that extends ``rank``
+_TOP = (4,)
+
+
 class _NullsFirstKey:
-    """Total order over heterogeneous index keys by :func:`nulls_first_rank`.
-    Only comparable values land in the same index, so the fallback to
-    text ordering is defensive."""
+    """A hashable key over heterogeneous values, equal when the values are
+    (DISTINCT, GROUP BY and UNION deduplicate by it)."""
 
     __slots__ = ("key",)
 
     def __init__(self, key: tuple) -> None:
         self.key = key
-
-    def _rank(self) -> tuple:
-        return tuple([nulls_first_rank(part) for part in self.key])
-
-    def __lt__(self, other: "_NullsFirstKey") -> bool:
-        try:
-            return self._rank() < other._rank()
-        except TypeError:
-            return str(self.key) < str(other.key)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, _NullsFirstKey) and self.key == other.key
@@ -361,56 +374,73 @@ class HashIndex:
 
 class SortedIndex:
     """Ordered index supporting range scans (used for BETWEEN / inequality
-    lookups on indexed columns).
+    lookups on indexed columns) and key-prefix ranges in key order.
 
-    Bisecting runs Python-level key comparisons, so a snapshot reader's
-    bisect and slice could interleave with the writer's insert or delete,
-    whose shift would move rows out of the positions it computed; a
-    short lock keeps each of them whole.
+    Each entry is ``(rank, rowid)``, the key's :func:`_rank` computed once
+    at :meth:`add`, so bisects compare native tuples and equal keys sit in
+    rowid order.  A snapshot reader's bisect and slice could still
+    interleave with the writer's insert or delete, whose shift would move
+    rows out of the positions it computed; a short lock keeps each of
+    them whole.
     """
 
     def __init__(self, name: str, columns: Sequence[str], unique: bool = False) -> None:
         self.name = name
         self.columns = tuple(c.upper() for c in columns)
         self.unique = unique
-        self._entries: list[tuple[_NullsFirstKey, int]] = []
+        self._entries: list[tuple[tuple, int]] = []
         self._lock = threading.Lock()
 
     def add(self, key: tuple, rowid: int) -> None:
         if any(part is None for part in key):
             return
-        wrapped = _NullsFirstKey(key)
+        entry = (_rank(key), rowid)
         with self._lock:
+            entries = self._entries
             if self.unique:
-                i = bisect_left(self._entries, (wrapped, -1))
-                if i < len(self._entries) and self._entries[i][0] == wrapped:
+                i = bisect_left(entries, entry[:1])
+                if i < len(entries) and entries[i][0] == entry[0]:
                     raise UniqueViolation(
                         f"duplicate key {key!r} for unique index {self.name}"
                     )
-            insort(self._entries, (wrapped, rowid))
+            insort(entries, entry)
 
     def remove(self, key: tuple, rowid: int) -> None:
         if any(part is None for part in key):
             return
-        wrapped = _NullsFirstKey(key)
+        entry = (_rank(key), rowid)
         with self._lock:
-            i = bisect_left(self._entries, (wrapped, rowid))
-            if i < len(self._entries) and self._entries[i] == (wrapped, rowid):
+            i = bisect_left(self._entries, entry)
+            if i < len(self._entries) and self._entries[i] == entry:
                 del self._entries[i]
 
-    def find(self, key: tuple) -> set[int]:
-        wrapped = _NullsFirstKey(key)
+    def prefix(self, key: tuple) -> list[int]:
+        """Rowids whose key starts with ``key`` (all of them for ``()``),
+        in index order: by key, equal keys by rowid."""
+        rank = _rank(key)
         with self._lock:
-            lo = bisect_left(self._entries, (wrapped, -1))
-            hi = bisect_right(self._entries, (wrapped, float("inf")), lo)
-            return {rowid for _key, rowid in self._entries[lo:hi]}
+            entries = self._entries
+            try:
+                lo = bisect_left(entries, (rank,))
+                hi = bisect_left(entries, (rank + (_TOP,),), lo)
+            except TypeError:
+                # a probe of another kind than the keys: none equals it
+                return [
+                    rowid for entry_rank, rowid in entries
+                    if entry_rank[:len(rank)] == rank
+                ]
+            return [rowid for _, rowid in entries[lo:hi]]
+
+    def find(self, key: tuple) -> set[int]:
+        return set(self.prefix(key))
 
     def find_sorted(self, key: tuple) -> list[int]:
-        """Matching rowids in ascending order (stable across runs)."""
-        return sorted(self.find(key))
+        """Matching rowids in ascending order (stable across runs): equal
+        keys sit in rowid order."""
+        return self.prefix(key)
 
     def contains(self, key: tuple) -> bool:
-        return bool(self.find(key))
+        return bool(self.prefix(key))
 
     def range_scan(
         self,
@@ -419,25 +449,26 @@ class SortedIndex:
         include_low: bool = True,
         include_high: bool = True,
     ) -> list[int]:
-        """Rowids whose keys fall within ``[low, high]`` (None = unbounded)."""
+        """Rowids whose keys fall within ``[low, high]`` (None = unbounded);
+        all of them when a bound does not compare with the keys (callers
+        filter the rows again)."""
         with self._lock:
             entries = self._entries
             lo = 0
             hi = len(entries)
-            if low is not None:
-                wrapped = _NullsFirstKey(low)
-                lo = (
-                    bisect_left(entries, (wrapped, -1))
-                    if include_low
-                    else bisect_right(entries, (wrapped, float("inf")))
-                )
-            if high is not None:
-                wrapped = _NullsFirstKey(high)
-                hi = (
-                    bisect_right(entries, (wrapped, float("inf")))
-                    if include_high
-                    else bisect_left(entries, (wrapped, -1))
-                )
+            try:
+                if low is not None:
+                    rank = _rank(low)
+                    lo = bisect_left(
+                        entries, (rank,) if include_low else (rank + (_TOP,),)
+                    )
+                if high is not None:
+                    rank = _rank(high)
+                    hi = bisect_left(
+                        entries, (rank + (_TOP,),) if include_high else (rank,)
+                    )
+            except TypeError:
+                lo, hi = 0, len(entries)
             return [rowid for _, rowid in entries[lo:hi]]
 
     def __len__(self) -> int:

@@ -246,6 +246,7 @@ class TransactionManager:
         self._undo_entries(txn.undo)
 
     def _undo_entries(self, entries: list[tuple]) -> None:
+        reinstated = set()
         for entry in reversed(entries):
             kind = entry[0]
             if kind == "insert":
@@ -254,6 +255,7 @@ class TransactionManager:
             elif kind == "delete":
                 _, table_name, rowid, row = entry
                 self._catalog.table(table_name).insert(row, rowid)
+                reinstated.add(table_name)
             elif kind == "update":
                 _, table_name, rowid, old_row = entry
                 self._catalog.table(table_name).update(rowid, old_row)
@@ -271,6 +273,9 @@ class TransactionManager:
                 self._catalog.create_view(view_name, select, ddl_text)
             else:  # pragma: no cover - defensive
                 raise TransactionError(f"unknown undo entry {kind!r}")
+        for table_name in reinstated:
+            if self._catalog.has_table(table_name):
+                self._catalog.table(table_name).heap.restore_order()
 
     # -- change recording --------------------------------------------------------
 

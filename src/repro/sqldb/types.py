@@ -169,11 +169,24 @@ class DatalinkValue:
 
     def with_token(self, token: str) -> "DatalinkValue":
         """Return a copy of this value carrying ``token``."""
-        return DatalinkValue(self.url, token=token, size=self.size)
+        return self.annotated(token, self.size)
 
     def with_size(self, size: int) -> "DatalinkValue":
         """Return a copy of this value annotated with the linked file size."""
-        return DatalinkValue(self.url, token=self.token, size=size)
+        return self.annotated(self.token, size)
+
+    def annotated(self, token: str | None,
+                  size: int | None) -> "DatalinkValue":
+        """Return a copy of this value carrying ``token`` and ``size``.  The
+        URL's parts are copied as parsed, not parsed and checked again."""
+        copy = object.__new__(DatalinkValue)
+        copy.scheme = self.scheme
+        copy.host = self.host
+        copy.directory = self.directory
+        copy.filename = self.filename
+        copy.token = token
+        copy.size = size
+        return copy
 
     @classmethod
     def parse_tokenized(cls, url: str) -> "DatalinkValue":

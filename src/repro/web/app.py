@@ -366,14 +366,9 @@ class EasiaApp:
 
     # -- operations -------------------------------------------------------------------------
 
-    def _operation_context(self, request: Request):
-        """The user, the visible column ``colid`` names and the stored row
-        that the ``key_`` parameters name."""
-        user, view, column = self._view_column(request, "colid")
-        return user, column, view.row(request.params)
-
     def _operation_form(self, request: Request) -> Response:
-        user, column, _row = self._operation_context(request)
+        user, view, column = self._view_column(request, "colid")
+        view.check_key(request.params)
         name = request.require_param("name")
         operation = column.operation(name)
         if not user.can_run_operation(operation):
@@ -385,7 +380,8 @@ class EasiaApp:
         return Response.html(render_operation_form(operation, hidden=hidden))
 
     def _operation_run(self, request: Request) -> Response:
-        user, column, row = self._operation_context(request)
+        user, view, column = self._view_column(request, "colid")
+        row = view.row(request.params)
         name = request.require_param("name")
         # the user's column is the authority: it lists what they may run
         operation = column.operation(name)
@@ -422,18 +418,18 @@ class EasiaApp:
 
     # -- code upload ---------------------------------------------------------------------------
 
-    def _upload_column(self, request: Request):
-        """:meth:`_operation_context` for an upload the user's column
-        offers them."""
-        user, column, row = self._operation_context(request)
+    @staticmethod
+    def _check_upload(user, column) -> None:
+        """Refuse an upload the user's column does not offer them."""
         if column.upload is None:
             raise WebError(f"{column.colid} does not accept uploads")
         if not user.can_upload(column.upload):
             raise AuthorizationError("guest users cannot upload post-processing codes")
-        return user, column, row
 
     def _upload_form(self, request: Request) -> Response:
-        self._upload_column(request)
+        user, view, column = self._view_column(request, "colid")
+        view.check_key(request.params)
+        self._check_upload(user, column)
         hidden = "".join(
             f'<input type="hidden" name="{escape(k)}" value="{escape(v)}"/>'
             for k, v in request.params.items()
@@ -447,7 +443,9 @@ class EasiaApp:
         return Response.html(page("Upload post-processing code", body))
 
     def _upload_run(self, request: Request) -> Response:
-        user, column, row = self._upload_column(request)
+        user, view, column = self._view_column(request, "colid")
+        row = view.row(request.params)
+        self._check_upload(user, column)
         archive = request.files.get("archive")
         if archive is None:
             raise WebError("no archive file uploaded")

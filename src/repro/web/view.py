@@ -114,14 +114,27 @@ class TableView:
         links carry.  The row holds every XUIS column, hidden ones too: an
         operation evaluates it server-side, and a route shows only visible
         columns of it."""
+        return result_rows_as_dicts(
+            self.table.name, self._keyed(self.table.columns, params)
+        )[0]
+
+    def check_key(self, params: dict[str, Any]) -> None:
+        """Refuse ``key_<COLUMN>`` parameters that do not name one stored
+        row, as :meth:`row` does, reading only the key columns (so no
+        DATALINK value is read and no access token issued)."""
+        self._keyed(self.primary_key, params)
+
+    def _keyed(self, columns: list[XuisColumn],
+               params: dict[str, Any]) -> Result:
+        """``columns`` of the one row the ``key_`` parameters name."""
         keys = {k[4:].upper(): v for k, v in params.items() if k.startswith("key_")}
         where = [c for c in self.primary_key if c.name in keys]
         if not keys or len(where) != len(keys):
             raise WebError(f"key_ parameters must name the {self.table.name} key")
-        result = self._select(self.table.columns, where, [keys[c.name] for c in where])
+        result = self._select(columns, where, [keys[c.name] for c in where])
         if len(result.rows) != 1:
             raise WebError(f"the key matched {len(result.rows)} rows, not 1")
-        return result_rows_as_dicts(self.table.name, result)[0]
+        return result
 
     def _select(self, columns: list[XuisColumn], where: Sequence[XuisColumn],
                 values: Sequence, limit: int = 0) -> Result:

@@ -193,8 +193,10 @@ def test_committed_gated_set():
     assert len({record["gate"]["ratio"] for record in planner}) == 1
     speedup = gated.pop("test_bench_a4_snapshot_read_throughput.speedup")
     overhead = gated.pop("test_bench_a5_failover_download.overhead_ratio")
+    scanned = gated.pop("test_bench_fig6_result_file_pages.rows_scanned_per_page")
     assert (set(speedup["gate"]), speedup["better"]) == ({"limit"}, "higher")
     assert (set(overhead["gate"]), overhead["better"]) == ({"limit"}, "lower")
+    assert (set(scanned["gate"]), scanned["better"]) == ({"limit"}, "lower")
     assert len(gated) == len(planner)
 
 

@@ -404,6 +404,55 @@ class TestSnapshotReads:
         assert reader.rows_scanned - before <= 600 + written
         writer.execute("ROLLBACK")
 
+    def test_index_ordered_page_beside_open_writer(self):
+        """An open transaction inserts, deletes and re-keys rows in the
+        probed key prefix: the page and its matched-row count equal the
+        scan path's at the reader's snapshot (the index-ordered path falls
+        back while rows are written after it), and the writer's own."""
+        db = Database()
+        db.execute("CREATE TABLE F (K INTEGER PRIMARY KEY, G INTEGER,"
+                   " N VARCHAR(8) NOT NULL)")
+        db.execute("CREATE INDEX F_GN ON F (G, N)")
+        with db.transaction():
+            for k in range(60):
+                db.execute("INSERT INTO F VALUES (?, ?, ?)",
+                           (k, k % 3, f"n{k % 7}"))
+        page = "SELECT K, N FROM F WHERE G = ? ORDER BY N LIMIT 5 OFFSET 3"
+        # G + 0 is no column equality: the scan, filter and sort path
+        scan = page.replace("G = ?", "G + 0 = ?")
+
+        def both(run):
+            out = []
+            for sql in (page, scan):
+                result = run(sql)
+                out.append((result.rows, result.matched_rows))
+            assert out[0] == out[1]
+            return out[0]
+
+        reader, writer = db.connect(), db.connect()
+        quiet = both(lambda sql: reader.execute(sql, (1,)))
+        plan = reader.execute("EXPLAIN " + page, (1,)).rows
+        assert plan[0][0].startswith("index-ordered scan F via F_GN")
+        writer.execute("BEGIN")
+        writer.execute("INSERT INTO F VALUES (100, 1, 'n0')")
+        writer.execute("INSERT INTO F VALUES (101, 1, 'a')")
+        writer.execute("DELETE FROM F WHERE K = 4")
+        writer.execute("UPDATE F SET N = 'a' WHERE K = 7")
+        writer.execute("UPDATE F SET G = 2 WHERE K = 10")
+        writer.execute("UPDATE F SET G = 1 WHERE K = 11")
+        assert both(lambda sql: reader.execute(sql, (1,))) == quiet
+        assert db.execute(page, (1,)).matched_rows == quiet[1] == 20
+        mine = both(lambda sql: writer.execute(sql, (1,)))
+        assert mine != quiet and mine[1] == 21
+        with db._snapshot_scope() as snapshot:
+            writer.execute("COMMIT")
+            pinned = both(lambda sql: TestSnapshotReadProperty._select_at(
+                db, snapshot, sql, (1,)))
+            assert pinned == quiet
+        assert both(lambda sql: reader.execute(sql, (1,))) == mine
+        plan = reader.execute("EXPLAIN " + page, (1,)).rows
+        assert plan[0][0].startswith("index-ordered scan F via F_GN")
+
     def test_no_torn_index_joins_while_keys_move(self):
         """A writer moves rows between primary keys K and K + 1000 while
         readers sum them through a PK index join over both keys: every
@@ -901,6 +950,10 @@ def _scan(rows, a, _b):
     return [(k, g, v) for k, (g, v) in rows.items() if v >= a]
 
 
+def _page(rows, a, _b):
+    return sorted((k, g, v) for k, (g, v) in rows.items() if g == a)[1:3]
+
+
 #: name -> (SQL, parameter count, expected access path, model answer)
 _QUERIES = {
     "pk": ("SELECT K, G, V FROM P WHERE K = ?", 1,
@@ -912,6 +965,11 @@ _QUERIES = {
     "left": ("SELECT C.CK, P.K FROM C LEFT JOIN P ON P.G = C.G", 0,
              "index nested-loop join P", _left_join),
     "scan": ("SELECT K, G, V FROM P WHERE V >= ?", 1, "seq scan P", _scan),
+    # the index-ordered path, or with rows written after the snapshot,
+    # its fallback: the lookup and the sort
+    "page": ("SELECT K, G, V FROM P WHERE G = ? ORDER BY K LIMIT 2 OFFSET 1",
+             1, ("index-ordered scan P via P_GK", "index lookup P via P_G"),
+             _page),
 }
 
 #: one branch per kind of step, so pins, commits and reads are frequent
@@ -932,10 +990,10 @@ def _ordered(rows):
 class TestSnapshotReadProperty:
     """A writer's open transaction inserts, deletes and updates rows —
     primary key and sorted-index column included — then commits or rolls
-    back, while readers run PK lookups, range scans, index joins and seq
-    scans in between.  Readers must see the committed model (a pinned
-    reader: the model as of its pin); the writer, the model plus its
-    pending changes."""
+    back, while readers run PK lookups, range scans, index joins, seq
+    scans and index-ordered pages in between.  Readers must see the
+    committed model (a pinned reader: the model as of its pin); the
+    writer, the model plus its pending changes."""
 
     @staticmethod
     def _database():
@@ -944,6 +1002,7 @@ class TestSnapshotReadProperty:
             "CREATE TABLE P (K INTEGER PRIMARY KEY, G INTEGER, V INTEGER)"
         )
         db.execute("CREATE INDEX P_G ON P (G)")
+        db.execute("CREATE INDEX P_GK ON P (G, K)")
         db.execute("CREATE TABLE C (CK INTEGER PRIMARY KEY, G INTEGER)")
         for row in _C_ROWS:
             db.execute("INSERT INTO C VALUES (?, ?)", row)
@@ -1027,6 +1086,11 @@ class TestSnapshotReadProperty:
                     assert _ordered(result.rows) == _ordered(
                         answer(model, *args)
                     ), (who, name, args)
+                    if name == "page":
+                        assert result.rows == answer(model, *args)
+                        assert result.matched_rows == sum(
+                            g == args[0] for g, _v in model.values()
+                        ), (who, args)
         if pending is not None:
             writer.execute("ROLLBACK")
         pin.close()

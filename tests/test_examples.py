@@ -8,6 +8,7 @@ walkthroughs.
 import importlib.util
 import os
 import sys
+import tempfile
 
 import pytest
 
@@ -52,6 +53,16 @@ class TestExamples:
         assert "kinetic energy =" in out
         assert "guest upload refused" in out
         assert "sandbox stopped hostile upload" in out
+
+    def test_code_upload_removes_its_sandbox(self, capsys, tmp_path,
+                                             monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        _load_example("code_upload.py").main()
+        capsys.readouterr()
+        assert not list(temp_root.glob("easia-upload-*"))
 
     def test_turbulence_portal(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

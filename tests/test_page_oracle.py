@@ -9,10 +9,16 @@ same restrictions (the same table, ``tests/sqlite_oracle.py``), and its
 footer must state the same total.
 
 Ties on the sort column reach the sort in rowid order: the table is
-filled in primary-key order and has no secondary index, so every access
-path (a scan, or a lookup of one key) yields rows in that order.  The
-oracle therefore breaks ties by the primary key.  ``limit`` caps the rows
-the search reaches; the pages divide at most that many.
+filled in primary-key order, so every access path (a scan, a lookup of
+one key, or a sorted index, whose equal keys sit in rowid order) yields
+rows in that order.  The oracle therefore breaks ties by the primary
+key.  ``limit`` caps the rows the search reaches; the pages divide at
+most that many.
+
+Half the forms run against a copy of the table with composite sorted
+indexes (equality column, sort column), so that ``I = v`` pages ordered
+by the NOT NULL columns K or T take the index-ordered path; such a page
+must read no more rows than it shows.
 """
 
 from __future__ import annotations
@@ -32,29 +38,44 @@ from repro.web.qbe import OPERATORS
 from repro.xuis import generate_default_xuis
 from tests.sqlite_oracle import load
 
-#: K is the primary key; I and S carry NULLs and many duplicates
+#: K is the primary key; I and S carry NULLs and many duplicates; T is
+#: NOT NULL with many duplicates
 _ROWS = [
     (k, None if k % 5 == 3 else (k * 7) % 4 - 1,
-     None if k % 6 == 4 else ["a", "ab", "b", "a_", "%b", "ba"][(k * 5) % 6])
+     None if k % 6 == 4 else ["a", "ab", "b", "a_", "%b", "ba"][(k * 5) % 6],
+     (k * 3) % 4)
     for k in range(23)
 ]
+
+#: the indexed copy's sorted indexes: (I, K) and (I, T) serve ``I = v``
+#: pages in K or T order; the others cannot (a VARCHAR equality, a
+#: NULL-able sort column) and must fall back to the scan
+_INDEXES = ["QT_I_K ON QT (I, K)", "QT_I_T ON QT (I, T)",
+            "QT_S_T ON QT (S, T)", "QT_T_S ON QT (T, S)"]
+
+
+def _portal(indexed: bool, sandbox: str):
+    db = Database()
+    db.execute("CREATE TABLE QT (K INTEGER PRIMARY KEY, I INTEGER,"
+               " S VARCHAR(8), T INTEGER NOT NULL)")
+    for index in _INDEXES if indexed else []:
+        db.execute(f"CREATE INDEX {index}")
+    with db.transaction():
+        for row in _ROWS:
+            db.execute("INSERT INTO QT VALUES (?, ?, ?, ?)", row)
+    document = generate_default_xuis(db)
+    linker = DataLinker(TokenManager(secret=b"page-oracle"))
+    engine = OperationEngine(db, linker, document, sandbox)
+    app = EasiaApp(db, linker, document, UserManager(), engine)
+    return app, app.login("guest", "guest")
 
 
 @pytest.fixture(scope="module")
 def portal():
-    db = Database()
-    db.execute("CREATE TABLE QT (K INTEGER PRIMARY KEY, I INTEGER,"
-               " S VARCHAR(8))")
-    with db.transaction():
-        for row in _ROWS:
-            db.execute("INSERT INTO QT VALUES (?, ?, ?)", row)
-    document = generate_default_xuis(db)
-    linker = DataLinker(TokenManager(secret=b"page-oracle"))
-    oracle = load(db)
     with tempfile.TemporaryDirectory() as sandbox:
-        engine = OperationEngine(db, linker, document, sandbox)
-        app = EasiaApp(db, linker, document, UserManager(), engine)
-        yield app, app.login("guest", "guest"), oracle
+        apps = {indexed: _portal(indexed, sandbox) for indexed in (False, True)}
+        oracle = load(apps[False][0].db)
+        yield apps, oracle
     oracle.close()
 
 
@@ -74,12 +95,16 @@ def _restriction(draw, column: str) -> tuple[str, str]:
 @st.composite
 def _form(draw) -> dict[str, str]:
     params = {"table": "QT"}
-    for column in draw(st.lists(st.sampled_from("KIS"), unique=True,
+    for column in draw(st.lists(st.sampled_from("KIST"), unique=True,
                                 max_size=2)):
         op, value = draw(_restriction(column))
         params[f"op_{column}"] = op
         params[f"val_{column}"] = value
-    order_by = draw(st.sampled_from([None, "K", "I", "S"]))
+    if draw(st.booleans()):
+        # the restriction the indexed copy's (I, K) and (I, T) serve
+        params["op_I"] = "="
+        params["val_I"] = str(draw(st.integers(-2, 2)))
+    order_by = draw(st.sampled_from([None, "K", "I", "S", "T"]))
     if order_by is not None:
         params["order_by"] = order_by
         params["order_dir"] = draw(st.sampled_from(["asc", "desc"]))
@@ -94,7 +119,7 @@ def _form(draw) -> dict[str, str]:
 def _expected(oracle, params: dict[str, str]) -> tuple[list[int], int]:
     """Keys of the requested page and the search's total, per sqlite3."""
     clauses, values = [], []
-    for column in "KIS":
+    for column in "KIST":
         if f"val_{column}" not in params:
             continue
         op, value = params[f"op_{column}"], params[f"val_{column}"]
@@ -125,12 +150,29 @@ _COUNT = re.compile(r"<p>(\d+) row\(s\)</p>")
 _FOOTER = re.compile(r"page (\d+) of (\d+) \((\d+) rows\)")
 
 
+def _index_ordered(params: dict[str, str]) -> bool:
+    """Whether the indexed copy answers the form from an index range that
+    holds exactly its rows: ``I = v`` and nothing else, in ascending K or
+    T order."""
+    restricted = [k[4:] for k in params if k.startswith("val_")]
+    return (restricted == ["I"] and params["op_I"] == "="
+            and params.get("order_by", "K") in ("K", "T")
+            and params.get("order_dir") != "desc")
+
+
 class TestSearchPagesMatchSqlite:
     @settings(max_examples=150, deadline=None)
-    @given(params=_form())
-    def test_page_rows_and_total(self, portal, params):
-        app, session, oracle = portal
+    @given(params=_form(), indexed=st.booleans())
+    def test_page_rows_and_total(self, portal, params, indexed):
+        apps, oracle = portal
+        app, session = apps[indexed]
+        conn = app.db._connection()
+        scanned = conn.rows_scanned
         text = app.get("/search", dict(params), session_id=session).text
+        scanned = conn.rows_scanned - scanned
+        if indexed and _index_ordered(params):
+            # the page's rows only, not the ones before it
+            assert scanned <= int(params["page_size"]), params
         keys, total = _expected(oracle, params)
         assert [int(k) for k in _ROW_KEY.findall(text)] == keys, params
         assert _COUNT.search(text).group(1) == str(len(keys))

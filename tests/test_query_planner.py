@@ -195,6 +195,99 @@ class TestTopN:
         assert len(joined_db.execute("SELECT K FROM L LIMIT 3").rows) == 3
 
 
+class TestIndexOrdered:
+    """``WHERE <prefix equalities> ORDER BY <the index's other columns>
+    LIMIT`` reads a sorted index's key-prefix range in order; everything
+    it cannot answer exactly keeps the scan and sort."""
+
+    @pytest.fixture()
+    def pages(self) -> Database:
+        db = Database()
+        db.execute("CREATE TABLE P (K INTEGER PRIMARY KEY, G INTEGER,"
+                   " N VARCHAR(8) NOT NULL, M VARCHAR(8), C CHAR(4))")
+        db.execute("CREATE INDEX P_GN ON P (G, N)")
+        db.execute("CREATE INDEX P_GM ON P (G, M)")
+        db.execute("CREATE INDEX P_NK ON P (N, K)")
+        db.execute("CREATE INDEX P_CK ON P (C, K)")
+        for k in range(30):
+            db.execute("INSERT INTO P VALUES (?, ?, ?, ?, ?)",
+                       (k, k % 3, f"n{k % 4}" + " " * (k % 2),
+                        None if k % 5 == 0 else f"m{k % 4}", f"c{k % 2}"))
+        return db
+
+    def test_prefix_equality_reads_the_page_in_index_order(self, pages):
+        sql = "SELECT K, N FROM P WHERE G = ? ORDER BY N LIMIT 3 OFFSET 4"
+        plan = _plan(pages, sql, (1,))
+        assert plan.startswith(
+            "1. index-ordered scan P via P_GN (G = 1; in order of N): "
+            "3 of 10 rows, counted from the range"
+        )
+        assert "sort" not in plan
+        conn = pages._connection()
+        before = conn.rows_scanned
+        result = pages.execute(sql, (1,))
+        assert conn.rows_scanned - before == 3
+        assert result.matched_rows == 10
+        # G + 0 is no column equality: the scan and sort give the same page
+        assert result.rows == pages.execute(
+            sql.replace("G = ?", "G + 0 = ?"), (1,)).rows
+
+    def test_whole_index_in_order_without_a_prefix(self, pages):
+        sql = "SELECT K FROM P ORDER BY N, K LIMIT 4"
+        assert "index-ordered scan P via P_NK (all rows" in _plan(pages, sql)
+        assert pages.execute(sql).matched_rows == 30
+
+    def test_further_filters_count_the_range(self, pages):
+        sql = "SELECT K FROM P WHERE G = 2 AND K > 10 ORDER BY N LIMIT 2"
+        plan = _plan(pages, sql)
+        assert "index-ordered scan P via P_GN" in plan
+        assert "counted from the range" not in plan
+        assert pages.execute(sql).matched_rows == 7
+
+    @pytest.mark.parametrize("sql, params", [
+        # DESC, a NULL-able sort column, no LIMIT
+        ("SELECT K FROM P WHERE G = ? ORDER BY N DESC LIMIT 3", (1,)),
+        ("SELECT K FROM P WHERE G = ? ORDER BY M LIMIT 3", (1,)),
+        ("SELECT K FROM P WHERE G = ? ORDER BY N", (1,)),
+        # '1' is not 1: no row of the range is equal to it
+        ("SELECT K FROM P WHERE G = ? ORDER BY N LIMIT 3", ("1",)),
+        # VARCHAR PAD SPACE: 'n1' = 'n1 ', but their keys differ
+        ("SELECT K FROM P WHERE N = ? ORDER BY K LIMIT 3", ("n1",)),
+        # grouping, DISTINCT and joins keep the sort
+        ("SELECT G, COUNT(*) FROM P WHERE G = ? GROUP BY G ORDER BY G LIMIT 3",
+         (1,)),
+        ("SELECT DISTINCT N FROM P WHERE G = ? ORDER BY N LIMIT 3", (1,)),
+        ("SELECT P.K FROM P JOIN P Q ON P.K = Q.K WHERE P.G = ? "
+         "ORDER BY P.N LIMIT 3", (1,)),
+    ])
+    def test_what_it_cannot_answer_keeps_the_scan(self, pages, sql, params):
+        assert "index-ordered" not in _plan(pages, sql, params)
+        scan = sql.replace("WHERE G", "WHERE G + 0").replace(
+            "WHERE N", "WHERE N || ''").replace("WHERE P.G", "WHERE P.G + 0")
+        ours, theirs = pages.execute(sql, params), pages.execute(scan, params)
+        assert (ours.rows, ours.matched_rows) == (theirs.rows, theirs.matched_rows)
+
+    def test_char_prefix_is_exact(self, pages):
+        sql = "SELECT K FROM P WHERE C = ? ORDER BY K LIMIT 3 OFFSET 1"
+        assert "counted from the range" in _plan(pages, sql, ("c1",))
+        result = pages.execute(sql, ("c1",))
+        assert (result.rows, result.matched_rows) == ([(3,), (5,), (7,)], 15)
+
+    def test_unique_key_lookup_wins(self, pages):
+        sql = "SELECT K FROM P WHERE G = 1 AND K = 4 ORDER BY N LIMIT 3"
+        assert _plan(pages, sql).startswith("1. index lookup P via PK_P")
+
+    def test_rolled_back_delete_keeps_ties_in_rowid_order(self, pages):
+        sql = "SELECT K FROM P WHERE G = 0 ORDER BY N LIMIT 10"
+        before = pages.execute(sql).rows
+        with pytest.raises(RuntimeError):
+            with pages.transaction():
+                pages.execute("DELETE FROM P WHERE K < 20")
+                raise RuntimeError("roll back")
+        assert pages.execute(sql).rows == before
+        assert [k for k, in pages.execute("SELECT K FROM P").rows] == list(range(30))
+
+
 # -- DISTINCT ----------------------------------------------------------------------
 
 

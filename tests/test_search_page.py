@@ -231,6 +231,112 @@ class TestExplicitLimit:
         assert "page 1 of" not in text
 
 
+class TestIndexOrderedPage:
+    """The RESULT_FILE page of one timestep reads only the rows it shows:
+    ``RESULT_FILE_BY_TIMESTEP`` (TIMESTEP, FILE_NAME) holds them in page
+    order, and its range's length is the page total."""
+
+    def _page_sql(self, app, guest, monkeypatch, params):
+        """The statement the ``/search`` page runs, and its page text."""
+        db = app.db
+        seen = []
+        execute = db.execute
+
+        def recording(sql, sql_params=()):
+            seen.append((sql, sql_params))
+            return execute(sql, sql_params)
+
+        monkeypatch.setattr(db, "execute", recording)
+        text = app.get("/search", params, session_id=guest).text
+        monkeypatch.undo()
+        (sql, sql_params), = [s for s in seen if "FROM RESULT_FILE" in s[0]]
+        return sql, sql_params, text
+
+    def test_explain_names_the_index_ordered_path(self, app, guest,
+                                                  monkeypatch):
+        sql, params, text = self._page_sql(
+            app, guest, monkeypatch,
+            {"table": "RESULT_FILE", "val_TIMESTEP": "1", "page": "2",
+             "page_size": "2"},
+        )
+        plan = app.db.explain(sql, params)
+        assert "index-ordered scan RESULT_FILE via RESULT_FILE_BY_TIMESTEP" in plan
+        assert "counted from the range" in plan
+        assert "sort" not in plan
+        assert "page 2 of 2 (3 rows)" in text
+
+    def test_page_reads_at_most_offset_plus_limit_rows(self, app, guest,
+                                                       monkeypatch):
+        sql, params, _text = self._page_sql(
+            app, guest, monkeypatch,
+            {"table": "RESULT_FILE", "val_TIMESTEP": "2", "page_size": "2"},
+        )
+        conn = app.db._connection()
+        before = conn.rows_scanned
+        result = app.db.execute(sql, params)
+        assert conn.rows_scanned - before <= 2  # offset 0 + limit 2
+        assert result.matched_rows == 3
+
+    def test_pages_match_the_scan_path(self, app, guest):
+        # the same pages with the index dropped: scan, filter and sort
+        pages = [
+            {"table": "RESULT_FILE", "val_TIMESTEP": str(t), "page": str(p),
+             "page_size": "2"}
+            for t in range(3) for p in (1, 2)
+        ]
+        ordered = [app.get("/search", dict(p), session_id=guest).text
+                   for p in pages]
+        app.db.execute("DROP INDEX RESULT_FILE_BY_TIMESTEP")
+        try:
+            scanned = [app.get("/search", dict(p), session_id=guest).text
+                       for p in pages]
+        finally:
+            app.db.execute("CREATE INDEX RESULT_FILE_BY_TIMESTEP "
+                           "ON RESULT_FILE (TIMESTEP, FILE_NAME)")
+        masked = [[_TOKEN.sub(r"\1TOKEN;", t) for t in texts]
+                  for texts in (ordered, scanned)]
+        assert masked[0] == masked[1]
+
+
+class TestFormsIssueNoToken:
+    """The form routes check that the ``key_`` parameters name one row
+    without reading its DATALINK, so they issue no access token."""
+
+    _FORM = {"colid": "RESULT_FILE.DOWNLOAD_RESULT", **_RF_KEY}
+
+    def test_form_routes_issue_no_token(self, app):
+        session = app.login("turbulence", "consortium")
+        tokens = app.linker.tokens
+        before = tokens.issued_count
+        form = app.get("/operation/form", {"name": "Subsample", **self._FORM},
+                       session_id=session)
+        upload = app.get("/upload/form", dict(self._FORM), session_id=session)
+        assert (form.status, upload.status) == (200, 200)
+        assert tokens.issued_count == before
+
+    def test_form_routes_still_refuse_a_missing_row(self, app):
+        session = app.login("turbulence", "consortium")
+        params = {"colid": "RESULT_FILE.DOWNLOAD_RESULT",
+                  "key_FILE_NAME": "absent.turb", "key_SIMULATION_KEY": _S1}
+        for path, extra in (("/operation/form", {"name": "Subsample"}),
+                            ("/upload/form", {})):
+            response = app.get(path, {**params, **extra}, session_id=session)
+            assert response.status == 400
+            assert "matched 0 rows" in response.text
+
+    def test_operation_run_issues_its_token(self, app):
+        session = app.login("turbulence", "consortium")
+        tokens = app.linker.tokens
+        before = tokens.issued_count
+        response = app.get(
+            "/operation/run",
+            {"name": "Subsample", "factor": "2", **self._FORM},
+            session_id=session,
+        )
+        assert response.status == 200
+        assert tokens.issued_count > before
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as sandbox:
         GOLDEN.parent.mkdir(exist_ok=True)
