@@ -5,7 +5,8 @@ and recovery of external files in synchronisation with the internal data".
 
 :func:`coordinated_backup` writes one self-contained backup image:
 
-* the full database state (DDL + rows, via the WAL value encoding),
+* the database's :meth:`~repro.sqldb.database.Database.image` — the same
+  schema script and rows, read at one snapshot, that a checkpoint stores,
 * a copy of every linked file flagged ``RECOVERY YES``, organised by host,
   with its sha256 recorded in the manifest.
 
@@ -33,7 +34,6 @@ from repro.datalink.linker import DataLinker
 from repro.datalink.tokens import TokenManager
 from repro.fileserver.server import FileServer
 from repro.sqldb.database import Database
-from repro.sqldb.wal import WriteAheadLog
 
 __all__ = ["coordinated_backup", "coordinated_restore"]
 
@@ -52,23 +52,14 @@ def _backup_entry(server, path: str):
 def coordinated_backup(db: Database, linker: DataLinker, directory: str) -> dict:
     """Write a consistent backup image of ``db`` plus its linked files.
 
-    Every table is read at one pinned snapshot, so the image holds the
-    committed state of one moment, without any open transaction's rows.
-    Returns the manifest (also persisted as ``backup_manifest.json``).
+    The database part is :meth:`Database.image`: every table read at one
+    pinned snapshot, so it holds the committed rows of one moment without
+    any open transaction's.  Returns the manifest (also persisted as
+    ``backup_manifest.json``).
     """
     os.makedirs(directory, exist_ok=True)
-    with db._snapshot_scope() as at:
-        snapshot = {
-            "ddl": db.catalog.ddl_script(),
-            "tables": {
-                table.schema.name: WriteAheadLog.encode_table_rows(
-                    table.heap.scan_at(at)
-                )
-                for table in db.catalog.tables()
-            },
-        }
     with open(os.path.join(directory, "database.json"), "w", encoding="utf-8") as fh:
-        json.dump(snapshot, fh)
+        json.dump(db.image(), fh)
 
     files: list[dict] = []
     for host, path in linker.recovery_manifest():
@@ -141,7 +132,7 @@ def coordinated_restore(
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     with open(db_path, encoding="utf-8") as fh:
-        snapshot = json.load(fh)
+        image = json.load(fh)
 
     linker = DataLinker(token_manager)
     # Restore files first so that re-linking finds them; each file is
@@ -155,11 +146,7 @@ def coordinated_restore(
         server.put(info["path"], _read_verified(directory, info))
 
     db = Database()
-    from repro.sqldb.parser import parse_script
-
-    for stmt in parse_script(snapshot["ddl"]):
-        db.execute_statement(stmt)
-    db._load_rows(snapshot["tables"])
+    db.load_image(image)
 
     # Re-establish link control exactly as it was.
     for info in manifest["files"]:

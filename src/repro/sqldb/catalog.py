@@ -12,8 +12,17 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import CatalogError
+from repro.sqldb.parser.ast_nodes import (
+    AlterTableStmt,
+    CreateIndexStmt,
+    CreateTableStmt,
+    CreateViewStmt,
+    DropIndexStmt,
+    DropTableStmt,
+    DropViewStmt,
+)
 from repro.sqldb.schema import Column, ForeignKey, TableSchema
-from repro.sqldb.storage import Table, VersionClock
+from repro.sqldb.storage import HashIndex, SortedIndex, Table, VersionClock
 from repro.sqldb.types import BooleanType, IntegerType, VarcharType
 
 __all__ = ["Catalog", "SYSTEM_TABLES"]
@@ -35,6 +44,8 @@ class Catalog:
 
     def __init__(self, clock: VersionClock | None = None) -> None:
         self._tables: dict[str, Table] = {}
+        #: index made by CREATE INDEX -> its table (a table's constraint
+        #: indexes come and go with the table's own DDL)
         self._index_owner: dict[str, str] = {}
         #: view name -> (SelectStmt, original DDL text)
         self._views: dict[str, tuple] = {}
@@ -44,6 +55,42 @@ class Catalog:
 
     # -- definition --------------------------------------------------------
 
+    def apply(self, stmt) -> None:
+        """Apply one parsed DDL statement to the catalog.
+
+        The one place a schema change happens, whether a live statement,
+        WAL replay or an image load makes it.  Validation (the view
+        dry-run, the transaction rules), releasing linked files, and the
+        undo and redo records are the live statement's.
+        """
+        if isinstance(stmt, CreateTableStmt):
+            self.create_table(TableSchema(
+                stmt.name,
+                stmt.columns,
+                primary_key=stmt.primary_key,
+                foreign_keys=stmt.foreign_keys,
+                unique_sets=stmt.unique_sets,
+                checks=stmt.checks,
+            ))
+        elif isinstance(stmt, DropTableStmt):
+            self.drop_table(stmt.name)
+        elif isinstance(stmt, AlterTableStmt):
+            table = self.writable_table(stmt.table)
+            if stmt.action == "drop":
+                table.drop_column(stmt.column_name)
+            else:
+                table.add_column(stmt.column)
+        elif isinstance(stmt, CreateIndexStmt):
+            self.create_index(stmt.name, stmt.table, stmt.columns, stmt.unique)
+        elif isinstance(stmt, DropIndexStmt):
+            self.drop_index(stmt.name)
+        elif isinstance(stmt, CreateViewStmt):
+            self.create_view(stmt.name, stmt.select, stmt.sql)
+        elif isinstance(stmt, DropViewStmt):
+            self.drop_view(stmt.name)
+        else:
+            raise CatalogError(f"{type(stmt).__name__} is not a schema change")
+
     def create_table(self, schema: TableSchema) -> Table:
         if schema.name in SYSTEM_TABLES:
             raise CatalogError(f"{schema.name} is a reserved system table name")
@@ -52,8 +99,6 @@ class Catalog:
         self._validate_foreign_keys(schema)
         table = Table(schema, clock=self.clock)
         self._tables[schema.name] = table
-        for name in table.indexes:
-            self._index_owner[name] = schema.name
         return table
 
     def _validate_foreign_keys(self, schema: TableSchema) -> None:
@@ -80,7 +125,7 @@ class Catalog:
 
     def drop_table(self, name: str) -> Table:
         name = name.upper()
-        table = self.table(name)
+        table = self.writable_table(name)
         referencing = [
             fk
             for other in self._tables.values()
@@ -93,8 +138,8 @@ class Catalog:
                 f"cannot drop {name}: referenced by foreign key(s) "
                 f"{[fk.name for fk in referencing]}"
             )
-        for index_name in table.indexes:
-            self._index_owner.pop(index_name, None)
+        for index_name in self.index_names(name):
+            del self._index_owner[index_name]
         del self._tables[name]
         return table
 
@@ -110,37 +155,67 @@ class Catalog:
         self._views[name] = (select, ddl_text)
 
     def drop_view(self, name: str) -> None:
-        name = name.upper()
-        if name not in self._views:
-            raise CatalogError(f"no view named {name}")
-        del self._views[name]
+        self._view(name)
+        del self._views[name.upper()]
 
     def is_view(self, name: str) -> bool:
         return name.upper() in self._views
 
-    def view_select(self, name: str):
+    def _view(self, name: str) -> tuple:
         try:
-            return self._views[name.upper()][0]
+            return self._views[name.upper()]
         except KeyError:
             raise CatalogError(f"no view named {name.upper()}") from None
 
+    def view_select(self, name: str):
+        return self._view(name)[0]
+
     def view_ddl(self, name: str) -> str:
-        return self._views[name.upper()][1]
+        return self._view(name)[1]
 
     def view_names(self) -> list[str]:
         return sorted(self._views)
 
-    def register_index(self, index_name: str, table_name: str) -> None:
+    def create_index(self, index_name: str, table_name: str,
+                     columns, unique: bool) -> None:
+        """CREATE [UNIQUE] INDEX: a hash index when unique, else sorted."""
         if index_name in self._index_owner:
             raise CatalogError(f"index {index_name} already exists")
+        index_cls = HashIndex if unique else SortedIndex
+        self.writable_table(table_name).add_index(
+            index_cls(index_name, columns, unique=unique)
+        )
         self._index_owner[index_name] = table_name.upper()
 
     def drop_index(self, index_name: str) -> None:
-        index_name = index_name.upper()
-        owner = self._index_owner.pop(index_name, None)
+        owner = self._index_table(index_name)
+        del self._index_owner[index_name.upper()]
+        owner.drop_index(index_name.upper())
+
+    def _index_table(self, index_name: str) -> Table:
+        owner = self._index_owner.get(index_name.upper())
         if owner is None:
-            raise CatalogError(f"no index named {index_name}")
-        self._tables[owner].drop_index(index_name)
+            raise CatalogError(
+                f"no index named {index_name.upper()} made by CREATE INDEX"
+            )
+        return self._tables[owner]
+
+    def index_names(self, table_name: str | None = None) -> list[str]:
+        """The indexes made by CREATE INDEX (on ``table_name``, if given)."""
+        return sorted(
+            name for name, owner in self._index_owner.items()
+            if table_name is None or owner == table_name
+        )
+
+    def index_ddl(self, index_name: str) -> str:
+        """The CREATE INDEX statement that makes ``index_name`` again."""
+        table = self._index_table(index_name)
+        index = table.indexes[index_name.upper()]
+        unique = "UNIQUE " if index.unique else ""
+        return (
+            f"CREATE {unique}INDEX {index.name} ON {table.schema.name} "
+            f"({', '.join(index.columns)})"
+        )
 
     # -- lookup --------------------------------------------------------------
 
@@ -152,6 +227,12 @@ class Catalog:
             return self._tables[name]
         except KeyError:
             raise CatalogError(f"no table named {name}") from None
+
+    def writable_table(self, name: str) -> Table:
+        """The named base table; a system catalog view is refused."""
+        if self.is_system_table(name):
+            raise CatalogError(f"{name.upper()} is a read-only system catalog view")
+        return self.table(name)
 
     def schema(self, name: str) -> TableSchema:
         return self.table(name).schema
@@ -354,7 +435,11 @@ class Catalog:
         return schema, rows
 
     def ddl_script(self) -> str:
-        """Dump all table definitions in dependency order (parents first)."""
+        """The schema as one script: table definitions parents first, then
+        every index made by CREATE INDEX, then the views, each as its own
+        CREATE VIEW text.  Checkpoints and backups store it, and
+        :meth:`apply` of each statement rebuilds the schema (views are
+        stored unvalidated, so their order does not matter)."""
         emitted: list[str] = []
         remaining = dict(self._tables)
         while remaining:
@@ -376,5 +461,6 @@ class Catalog:
                     emitted.append(name)
                 remaining.clear()
         statements = [self._tables[name].schema.ddl() for name in emitted]
+        statements.extend(self.index_ddl(name) for name in self.index_names())
         statements.extend(self._views[name][1] for name in self.view_names())
         return ";\n\n".join(statements) + (";\n" if statements else "")

@@ -43,6 +43,7 @@ from typing import Any, Sequence
 from repro.errors import LockTimeout, TransactionError
 from repro.obs import get_observability
 from repro.sqldb.executor import Executor
+from repro.sqldb.parser import parse_script
 from repro.sqldb.transactions import TransactionManager
 
 __all__ = [
@@ -286,18 +287,15 @@ class Connection:
         self._check_open()
         return self._db._execute_on(self, sql, params)
 
-    def execute_statement(self, stmt, params: Sequence[Any] = (),
-                          sql: str | None = None):
+    def execute_statement(self, stmt, params: Sequence[Any] = ()):
         self._check_open()
-        return self._db._execute_statement_on(self, stmt, params, sql)
+        return self._db._execute_statement_on(self, stmt, params)
 
     def execute_script(self, sql: str, params: Sequence[Any] = ()):
-        from repro.sqldb.parser import parse_script_with_sql
-
-        return [
-            self.execute_statement(stmt, params, sql=text)
-            for stmt, text in parse_script_with_sql(sql)
-        ]
+        """Execute a ``;``-separated script, returning per-statement
+        results.  Placeholders are numbered across the whole script, so
+        one ``params`` sequence serves every statement."""
+        return [self.execute_statement(stmt, params) for stmt in parse_script(sql)]
 
     def transaction(self):
         return _ConnectionTransaction(self)

@@ -32,8 +32,9 @@ from repro.errors import (
     TransactionError,
 )
 from repro.sqldb.catalog import Catalog
-from repro.sqldb.executor import Executor, SelectResult
-from repro.sqldb.parser import parse_sql
+from repro.sqldb.executor import Executor, SelectResult, point_lookup
+from repro.sqldb.parser import parse_script, parse_sql
+from repro.sqldb.planner import conjuncts
 from repro.sqldb.parser.ast_nodes import (
     AlterTableStmt,
     BeginStmt,
@@ -62,11 +63,16 @@ from repro.sqldb.connection import (
 )
 from repro.sqldb.expressions import ColumnRef, Resolver
 from repro.sqldb.schema import TableSchema
-from repro.sqldb.storage import HashIndex, SortedIndex
 from repro.sqldb.types import DatalinkValue
 from repro.sqldb.wal import WriteAheadLog
 
 __all__ = ["Database", "Result", "DatalinkHooks", "Connection", "ConnectionPool"]
+
+#: the schema changes, which :meth:`Catalog.apply` makes
+_DDL = (
+    CreateTableStmt, DropTableStmt, AlterTableStmt, CreateIndexStmt,
+    DropIndexStmt, CreateViewStmt, DropViewStmt,
+)
 
 
 class Result:
@@ -281,8 +287,7 @@ class Database:
 
     def _execute_on(self, conn: Connection, sql: str,
                     params: Sequence[Any]) -> Result:
-        stmt = self._parse_cached(sql)
-        return self._execute_statement_on(conn, stmt, params, sql)
+        return self._execute_statement_on(conn, self._parse_cached(sql), params)
 
     def _parse_cached(self, sql: str) -> Statement:
         """Statement-cache lookup, thread-safe; parsing runs unlocked."""
@@ -315,53 +320,32 @@ class Database:
         }
 
     def execute_script(self, sql: str, params: Sequence[Any] = ()) -> list[Result]:
-        """Execute a ``;``-separated script, returning per-statement results.
+        """Execute a ``;``-separated script on the calling thread's
+        connection (:meth:`Connection.execute_script`)."""
+        return self._connection().execute_script(sql, params)
 
-        Each statement keeps its own slice of the script text, so tracing
-        and the slow-query log attribute work to real SQL; placeholders are
-        numbered across the whole script, so one ``params`` sequence serves
-        every statement.
-        """
-        from repro.sqldb.parser import parse_script_with_sql
+    def execute_statement(self, stmt: Statement, params: Sequence[Any] = ()) -> Result:
+        """Execute a parsed statement (its ``sql`` is the text traced and,
+        for DDL, logged)."""
+        return self._execute_statement_on(self._connection(), stmt, params)
 
-        return [
-            self.execute_statement(stmt, params, sql=text)
-            for stmt, text in parse_script_with_sql(sql)
-        ]
-
-    def execute_statement(
-        self, stmt: Statement, params: Sequence[Any] = (),
-        sql: str | None = None,
-    ) -> Result:
-        return self._execute_statement_on(self._connection(), stmt, params, sql)
-
-    def _execute_statement_on(
-        self, conn: Connection, stmt: Statement, params: Sequence[Any],
-        sql: str | None = None,
-    ) -> Result:
+    def _execute_statement_on(self, conn: Connection, stmt: Statement,
+                              params: Sequence[Any]) -> Result:
         obs = self._obs or get_observability()
         if not obs.enabled:
-            return self._dispatch_statement(conn, stmt, params, sql)
-        return self._execute_instrumented(obs, conn, stmt, params, sql)
+            return self._dispatch_statement(conn, stmt, params)
+        return self._execute_instrumented(obs, conn, stmt, params)
 
-    def _execute_instrumented(
-        self,
-        obs,
-        conn: Connection,
-        stmt: Statement,
-        params: Sequence[Any],
-        sql: str | None,
-    ) -> Result:
+    def _execute_instrumented(self, obs, conn: Connection, stmt: Statement,
+                              params: Sequence[Any]) -> Result:
         kind = type(stmt).__name__.removesuffix("Stmt").upper()
         executor = conn.executor
         scanned_before = executor.rows_scanned
         pushed_before = executor.pushdown_filtered
         hashed_before = executor.hash_build_rows
-        with obs.tracer.span(
-            "sql.statement", statement=kind, sql=sql or f"<{kind}>"
-        ) as span:
+        with obs.tracer.span("sql.statement", statement=kind, sql=stmt.sql) as span:
             started = perf_counter()
-            result = self._dispatch_statement(conn, stmt, params, sql)
+            result = self._dispatch_statement(conn, stmt, params)
             elapsed = perf_counter() - started
         scanned = executor.rows_scanned - scanned_before
         span.set(
@@ -381,15 +365,13 @@ class Database:
             metrics.counter("sqldb.join.hash_build_rows").inc(hashed)
         metrics.histogram("sql.statement_seconds").observe(elapsed)
         obs.slow_query.record(
-            sql or f"<{kind}>", elapsed, params=params,
+            stmt.sql, elapsed, params=params,
             rows=len(result.rows) or result.rowcount, rows_scanned=scanned,
         )
         return result
 
-    def _dispatch_statement(
-        self, conn: Connection, stmt: Statement, params: Sequence[Any],
-        sql: str | None,
-    ) -> Result:
+    def _dispatch_statement(self, conn: Connection, stmt: Statement,
+                            params: Sequence[Any]) -> Result:
         if isinstance(stmt, (SelectStmt, UnionStmt, ExplainStmt)):
             with conn.snapshot():
                 return self._run_read(stmt, params, conn.executor)
@@ -418,20 +400,8 @@ class Database:
         stmt_mark = conn.txns.statement_mark(txn)
         hook_mark = self._hooks.statement_mark(txn)
         try:
-            if isinstance(stmt, CreateTableStmt):
-                result = self._execute_create_table(conn, stmt, txn, sql)
-            elif isinstance(stmt, CreateViewStmt):
-                result = self._execute_create_view(conn, stmt, txn, sql)
-            elif isinstance(stmt, DropViewStmt):
-                result = self._execute_drop_view(stmt, txn)
-            elif isinstance(stmt, AlterTableStmt):
-                result = self._execute_alter_table(stmt, txn, sql)
-            elif isinstance(stmt, DropTableStmt):
-                result = self._execute_drop_table(stmt, txn)
-            elif isinstance(stmt, CreateIndexStmt):
-                result = self._execute_create_index(conn, stmt, txn, sql)
-            elif isinstance(stmt, DropIndexStmt):
-                result = self._execute_drop_index(stmt)
+            if isinstance(stmt, _DDL):
+                result = self._execute_ddl(conn, stmt, txn)
             elif isinstance(stmt, InsertStmt):
                 result = self._execute_insert(conn, stmt, params, txn)
             elif isinstance(stmt, UpdateStmt):
@@ -471,16 +441,16 @@ class Database:
             rowcount=len(result.plan),
         )
 
-    def transaction(self) -> "_TransactionContext":
-        """Context manager: BEGIN on enter, COMMIT on success, ROLLBACK on
-        exception.
+    def transaction(self):
+        """Context manager on the calling thread's connection: BEGIN on
+        enter, COMMIT on success, ROLLBACK on exception.
 
         >>> db = Database()
         >>> _ = db.execute("CREATE TABLE t (k INTEGER PRIMARY KEY)")
         >>> with db.transaction():
         ...     _ = db.execute("INSERT INTO t VALUES (1)")
         """
-        return _TransactionContext(self)
+        return self._connection().transaction()
 
     def explain(self, sql: str, params: Sequence[Any] = ()) -> str:
         """Access-path description for a SELECT (tests pin index usage)."""
@@ -520,26 +490,63 @@ class Database:
 
     # -- DDL -----------------------------------------------------------------------
 
-    def _execute_create_table(self, conn: Connection, stmt: CreateTableStmt,
-                              txn, sql: str | None) -> Result:
-        if stmt.if_not_exists and self.catalog.has_table(stmt.name):
-            return Result()
-        schema = TableSchema(
-            stmt.name,
-            stmt.columns,
-            primary_key=stmt.primary_key,
-            foreign_keys=stmt.foreign_keys,
-            unique_sets=stmt.unique_sets,
-            checks=stmt.checks,
-        )
-        self.catalog.create_table(schema)
-        conn.txns.record_ddl(txn, ("create_table", stmt.name), sql or schema.ddl())
+    def _execute_ddl(self, conn: Connection, stmt: Statement, txn) -> Result:
+        """A live schema change: check it, apply it through
+        :meth:`Catalog.apply` (as WAL replay and image loads do), then
+        record its own text as redo and its inverse statement as undo.
+        A change with no inverse (ALTER TABLE, DROP TABLE) is not undoable
+        row by row, so it runs in autocommit only."""
+        catalog = self.catalog
+        inverse: Statement | None = None
+        removed = []  # (table, DATALINK column) whose stored values go
+        if isinstance(stmt, CreateTableStmt):
+            if stmt.if_not_exists and catalog.has_table(stmt.name):
+                return Result()
+            inverse = DropTableStmt(stmt.name)
+        elif isinstance(stmt, DropTableStmt):
+            if stmt.if_exists and not catalog.has_table(stmt.name):
+                return Result()
+            table = catalog.writable_table(stmt.name)
+            removed = [(table, c) for c in table.schema.datalink_columns]
+        elif isinstance(stmt, AlterTableStmt):
+            table = catalog.writable_table(stmt.table)
+            if stmt.action == "drop":
+                column = table.schema.column(stmt.column_name)
+                removed = [(table, column)] if column.is_datalink else []
+        elif isinstance(stmt, CreateIndexStmt):
+            inverse = DropIndexStmt(stmt.name)
+        elif isinstance(stmt, DropIndexStmt):
+            inverse = parse_sql(catalog.index_ddl(stmt.name))
+        elif isinstance(stmt, CreateViewStmt):
+            self._check_view(conn, stmt)
+            inverse = DropViewStmt(stmt.name)
+        else:
+            assert isinstance(stmt, DropViewStmt)
+            if stmt.if_exists and not catalog.is_view(stmt.name):
+                return Result()
+            inverse = parse_sql(catalog.view_ddl(stmt.name))
+        if inverse is None and txn.explicit:
+            what = "DROP" if isinstance(stmt, DropTableStmt) else "ALTER"
+            raise TransactionError(
+                f"{what} TABLE is not allowed inside a transaction"
+            )
+        # removing a DATALINK column's values releases their linked files
+        for table, column in removed:
+            position = table.schema.column_index(column.name)
+            for _rowid, row in table.scan():
+                if row[position] is not None:
+                    self._hooks.on_remove_link(
+                        table.schema.name, column.name, row[position],
+                        column.type.spec, txn,
+                    )
+        catalog.apply(stmt)
+        conn.txns.record_ddl(txn, stmt, inverse)
         return Result()
 
-    def _execute_create_view(self, conn: Connection, stmt: CreateViewStmt,
-                             txn, sql: str | None) -> Result:
-        # Dry-run the stored SELECT so bad definitions (unknown tables,
-        # duplicate output names) fail at CREATE VIEW time, not first use.
+    @staticmethod
+    def _check_view(conn: Connection, stmt: CreateViewStmt) -> None:
+        """Dry-run the stored SELECT so bad definitions (unknown tables,
+        duplicate output names) fail at CREATE VIEW time, not first use."""
         probe = conn.executor.execute_select(stmt.select)
         seen: set[str] = set()
         for label in probe.columns:
@@ -549,98 +556,12 @@ class Database:
                     f"alias the select items"
                 )
             seen.add(label)
-        ddl_text = sql or f"CREATE VIEW {stmt.name} AS <select>"
-        self.catalog.create_view(stmt.name, stmt.select, ddl_text)
-        txn.record(("create_view", stmt.name), {"op": "ddl", "sql": ddl_text})
-        return Result()
-
-    def _execute_drop_view(self, stmt: DropViewStmt, txn) -> Result:
-        if stmt.if_exists and not self.catalog.is_view(stmt.name):
-            return Result()
-        select = self.catalog.view_select(stmt.name)
-        ddl_text = self.catalog.view_ddl(stmt.name)
-        self.catalog.drop_view(stmt.name)
-        txn.record(
-            ("drop_view", stmt.name, select, ddl_text),
-            {"op": "ddl", "sql": f"DROP VIEW {stmt.name}"},
-        )
-        return Result()
-
-    def _execute_alter_table(self, stmt: AlterTableStmt, txn, sql: str | None) -> Result:
-        # Schema changes are not row-undoable; autocommit only, like DROP.
-        if txn.explicit:
-            raise TransactionError(
-                "ALTER TABLE is not allowed inside a transaction"
-            )
-        table = self._writable_table(stmt.table)
-        if stmt.action == "add":
-            table.add_column(stmt.column)
-        else:
-            column = table.schema.column(stmt.column_name)
-            dropped = table.drop_column(stmt.column_name)
-            if column.is_datalink:
-                # dropping a DATALINK column releases every linked file
-                for value in dropped:
-                    if value is not None:
-                        self._hooks.on_remove_link(
-                            stmt.table, column.name, value,
-                            column.type.spec, txn,
-                        )
-        rendered = sql or f"ALTER TABLE {stmt.table} ..."
-        txn.redo.append({"op": "ddl", "sql": rendered})
-        return Result()
-
-    def _execute_drop_table(self, stmt: DropTableStmt, txn) -> Result:
-        if self.catalog.is_system_table(stmt.name):
-            raise CatalogError(f"{stmt.name} is a read-only system catalog view")
-        if stmt.if_exists and not self.catalog.has_table(stmt.name):
-            return Result()
-        table = self.catalog.table(stmt.name)
-        if len(table):
-            # Dropping a populated table must release datalinked files.
-            for column in table.schema.datalink_columns:
-                index = table.schema.column_index(column.name)
-                for _rowid, row in table.scan():
-                    value = row[index]
-                    if value is not None:
-                        self._hooks.on_remove_link(
-                            stmt.name, column.name, value, column.type.spec, txn
-                        )
-        # DROP TABLE is not undoable row-by-row; forbid inside explicit txns.
-        if txn.explicit:
-            raise TransactionError("DROP TABLE is not allowed inside a transaction")
-        self.catalog.drop_table(stmt.name)
-        txn.redo.append({"op": "ddl", "sql": f"DROP TABLE {stmt.name}"})
-        return Result()
-
-    def _execute_create_index(self, conn: Connection, stmt: CreateIndexStmt,
-                              txn, sql: str | None) -> Result:
-        table = self._writable_table(stmt.table)
-        index_cls = HashIndex if stmt.unique else SortedIndex
-        index = index_cls(stmt.name, stmt.columns, unique=stmt.unique)
-        table.add_index(index)
-        self.catalog.register_index(stmt.name, stmt.table)
-        rendered = sql or (
-            f"CREATE {'UNIQUE ' if stmt.unique else ''}INDEX {stmt.name} "
-            f"ON {stmt.table} ({', '.join(stmt.columns)})"
-        )
-        conn.txns.record_ddl(txn, ("create_index", stmt.name), rendered)
-        return Result()
-
-    def _execute_drop_index(self, stmt: DropIndexStmt) -> Result:
-        self.catalog.drop_index(stmt.name)
-        return Result()
 
     # -- DML -----------------------------------------------------------------------
 
-    def _writable_table(self, name: str):
-        if self.catalog.is_system_table(name):
-            raise CatalogError(f"{name} is a read-only system catalog view")
-        return self.catalog.table(name)
-
     def _execute_insert(self, conn: Connection, stmt: InsertStmt,
                         params: Sequence[Any], txn) -> Result:
-        table = self._writable_table(stmt.table)
+        table = self.catalog.writable_table(stmt.table)
         schema = table.schema
         count = 0
         check = self._check_constraints(schema)
@@ -678,7 +599,7 @@ class Database:
 
     def _execute_update(self, conn: Connection, stmt: UpdateStmt,
                         params: Sequence[Any], txn) -> Result:
-        table = self._writable_table(stmt.table)
+        table = self.catalog.writable_table(stmt.table)
         schema = table.schema
         targets = self._matching_rowids(conn, table, stmt.where, params)
         resolve = self._row_resolver(schema)
@@ -720,7 +641,7 @@ class Database:
 
     def _execute_delete(self, conn: Connection, stmt: DeleteStmt,
                         params: Sequence[Any], txn) -> Result:
-        table = self._writable_table(stmt.table)
+        table = self.catalog.writable_table(stmt.table)
         schema = table.schema
         targets = self._matching_rowids(conn, table, stmt.where, params)
         count = 0
@@ -752,31 +673,15 @@ class Database:
         ]
 
     def _candidate_rowids(self, table, where, params: Sequence[Any]) -> list[int]:
-        """Use an index point-lookup for ``col = constant`` predicates in
-        UPDATE/DELETE, mirroring the SELECT access-path choice."""
-        from repro.sqldb.planner import conjuncts, constant_equalities
-
-        schema = table.schema
+        """The rows an index point lookup finds for UPDATE/DELETE, chosen
+        as SELECT chooses it (:func:`point_lookup`); else every row."""
         if where is not None:
-            bound: dict[str, Any] = {}
-            for ref, value in constant_equalities(conjuncts(where), params):
-                if ref.table is not None and ref.table != schema.name:
-                    continue
-                if not schema.has_column(ref.column):
-                    continue
-                try:
-                    bound[ref.column] = schema.column(ref.column).type.validate(value)
-                except Exception:
-                    continue
-            if bound:
-                best = None
-                for index in table.indexes.values():
-                    if all(column in bound for column in index.columns):
-                        if best is None or len(index.columns) > len(best.columns):
-                            best = index
-                if best is not None:
-                    key = tuple(bound[column] for column in best.columns)
-                    return sorted(best.find(key))
+            _, bound, _, best = point_lookup(
+                table.schema.name, table.schema, table.indexes,
+                conjuncts(where), params,
+            )
+            if best is not None:
+                return sorted(best.find(tuple(bound[c] for c in best.columns)))
         return [rowid for rowid, _row in table.scan()]
 
     @staticmethod
@@ -962,41 +867,54 @@ class Database:
     # -- durability ----------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Serialise the full database state and truncate the WAL.
+        """Write the database's :meth:`image` as the checkpoint and
+        truncate the WAL.
 
-        Holds the writer lock for the duration so the snapshot captures a
-        committed state with no writer mid-transaction.  Must not be
-        called by a thread already holding the lock (the lock is not
+        Holds the writer lock for the duration so the image is a
+        committed state with no writer mid-transaction, and no commit
+        lands in the log between the image and the truncation.  Must not
+        be called by a thread already holding the lock (the lock is not
         reentrant) — i.e. not from inside an explicit transaction.
         """
         if self._wal is None:
             raise RecoveryUnavailable()
         self.writer_lock.acquire()
         try:
-            snapshot = {
-                "ddl": self.catalog.ddl_script(),
-                "indexes": self._user_indexes_ddl(),
-                "tables": {
-                    table.schema.name: WriteAheadLog.encode_table_rows(table.scan())
-                    for table in self.catalog.tables()
-                },
-            }
-            self._wal.write_checkpoint(snapshot)
+            self._wal.write_checkpoint(self.image())
         finally:
             self.writer_lock.release()
 
-    def _user_indexes_ddl(self) -> list[str]:
-        out = []
-        for table in self.catalog.tables():
-            for name, index in table.indexes.items():
-                if name.startswith(("PK_", "UQ_", "IX_")):
-                    continue
-                unique = "UNIQUE " if index.unique else ""
-                out.append(
-                    f"CREATE {unique}INDEX {name} ON {table.schema.name} "
-                    f"({', '.join(index.columns)})"
-                )
-        return out
+    def image(self) -> dict:
+        """The committed database, read at one snapshot, as ``{"ddl":
+        Catalog.ddl_script(), "tables": table name -> WAL-encoded rows}``:
+        what a checkpoint and a coordinated backup store, and what
+        :meth:`load_image` reads back."""
+        with self._snapshot_scope() as at:
+            return {
+                "ddl": self.catalog.ddl_script(),
+                "tables": {
+                    table.schema.name: WriteAheadLog.encode_table_rows(
+                        table.heap.scan_at(at)
+                    )
+                    for table in self.catalog.tables()
+                },
+            }
+
+    def load_image(self, image: dict) -> None:
+        """Rebuild an :meth:`image` in this empty database: each DDL
+        statement through :meth:`Catalog.apply`, then the rows as one
+        committed generation.  A checkpoint written before the DDL script
+        carried indexes lists them under ``"indexes"``."""
+        for stmt in parse_script(image["ddl"]):
+            self.catalog.apply(stmt)
+        for index_sql in image.get("indexes", ()):
+            self.catalog.apply(parse_sql(index_sql))
+        for table_name, entries in image["tables"].items():
+            table = self.catalog.table(table_name)
+            for rowid, row in WriteAheadLog.decode_table_rows(entries):
+                table.insert(row, rowid)
+            table.heap.restore_order()
+        self._commit_loaded()
 
     def _recover(self) -> None:
         """Load the checkpoint (if any) then replay the WAL.
@@ -1032,15 +950,9 @@ class Database:
         obs.events.emit("wal.recovery", **self.recovery_stats)
 
     def _recover_inner(self) -> None:
-        from repro.sqldb.parser import parse_script
-
         checkpoint = self._wal.read_checkpoint()
         if checkpoint is not None:
-            for ddl_stmt in parse_script(checkpoint["ddl"]):
-                self._apply_recovered_ddl(ddl_stmt)
-            for index_sql in checkpoint.get("indexes", []):
-                self._apply_recovered_ddl(parse_sql(index_sql))
-            self._load_rows(checkpoint["tables"])
+            self.load_image(checkpoint)
         watermark = self._wal.checkpoint_lsn
         replayed = skipped = 0
         for lsn, _txn_id, ops in self._wal.iter_transactions():
@@ -1060,16 +972,6 @@ class Database:
             "epoch": self._wal.epoch,
         }
 
-    def _load_rows(self, tables: dict[str, list]) -> None:
-        """Insert the rows of a checkpoint or backup image (table name ->
-        WAL-encoded rows) and commit them as one generation."""
-        for table_name, entries in tables.items():
-            table = self.catalog.table(table_name)
-            for rowid, row in WriteAheadLog.decode_table_rows(entries):
-                table.insert(row, rowid)
-            table.heap.restore_order()
-        self._commit_loaded()
-
     def _commit_loaded(self) -> None:
         """Make rows written outside any transaction (loaded or replayed)
         visible to snapshot reads, and prune their write marks, so reads
@@ -1079,52 +981,10 @@ class Database:
         for table in self.catalog.tables():
             table.heap.prune_history(committed)
 
-    def _apply_recovered_ddl(self, stmt: Statement, sql_text: str | None = None) -> None:
-        if isinstance(stmt, CreateViewStmt):
-            self.catalog.create_view(
-                stmt.name,
-                stmt.select,
-                sql_text or f"CREATE VIEW {stmt.name} AS <select>",
-            )
-            return
-        if isinstance(stmt, DropViewStmt):
-            if self.catalog.is_view(stmt.name):
-                self.catalog.drop_view(stmt.name)
-            return
-        if isinstance(stmt, AlterTableStmt):
-            table = self.catalog.table(stmt.table)
-            if stmt.action == "add":
-                table.add_column(stmt.column)
-            else:
-                table.drop_column(stmt.column_name)
-            return
-        if isinstance(stmt, CreateTableStmt):
-            schema = TableSchema(
-                stmt.name,
-                stmt.columns,
-                primary_key=stmt.primary_key,
-                foreign_keys=stmt.foreign_keys,
-                unique_sets=stmt.unique_sets,
-                checks=stmt.checks,
-            )
-            self.catalog.create_table(schema)
-        elif isinstance(stmt, CreateIndexStmt):
-            table = self.catalog.table(stmt.table)
-            index_cls = HashIndex if stmt.unique else SortedIndex
-            table.add_index(index_cls(stmt.name, stmt.columns, unique=stmt.unique))
-            self.catalog.register_index(stmt.name, stmt.table)
-        elif isinstance(stmt, DropTableStmt):
-            if self.catalog.has_table(stmt.name):
-                self.catalog.drop_table(stmt.name)
-        elif isinstance(stmt, DropIndexStmt):
-            self.catalog.drop_index(stmt.name)
-        else:  # pragma: no cover - only DDL reaches here
-            raise CatalogError(f"unexpected recovered statement {stmt}")
-
     def _replay(self, op: dict) -> None:
         kind = op["op"]
         if kind == "ddl":
-            self._apply_recovered_ddl(parse_sql(op["sql"]), op["sql"])
+            self.catalog.apply(parse_sql(op["sql"]))
             return
         table = self.catalog.table(op["table"])
         if kind == "insert":
@@ -1149,20 +1009,3 @@ class Database:
 class RecoveryUnavailable(TransactionError):
     def __init__(self) -> None:
         super().__init__("checkpoint requires a durable (directory-backed) database")
-
-
-class _TransactionContext:
-    def __init__(self, db: Database) -> None:
-        self._db = db
-
-    def __enter__(self) -> Database:
-        self._db.execute("BEGIN")
-        return self._db
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        if exc_type is None:
-            self._db.execute("COMMIT")
-        else:
-            if self._db.in_transaction:
-                self._db.execute("ROLLBACK")
-        return False

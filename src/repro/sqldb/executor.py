@@ -554,28 +554,10 @@ class Executor:
         to return a superset of the matching rows (as reads at a snapshot
         do, see :class:`~repro.sqldb.connection.TableSnapshot`).
         """
-        equalities = [
-            (ref, value)
-            for ref, value in constant_equalities(where_conjuncts, params)
-            if self._ref_on(entry, ref)
-        ]
-        bound: dict[str, Any] = {}
-        exact: dict[str, Any] = {}
-        for ref, value in equalities:
-            column_type = entry.schema.column(ref.column).type
-            try:
-                key = column_type.validate(value)
-            except Exception:
-                continue  # incomparable constant: not usable for a lookup
-            bound[ref.column] = key
-            if _exact_equality(column_type, key, value):
-                exact[ref.column] = key
-
-        best = None
-        for index in entry.table.indexes.values():
-            if all(column in bound for column in index.columns):
-                if best is None or len(index.columns) > len(best.columns):
-                    best = index
+        equalities, bound, exact, best = point_lookup(
+            entry.alias, entry.schema, entry.table.indexes,
+            where_conjuncts, params,
+        )
         if order is not None and not (best is not None and best.unique):
             only_equalities = len(equalities) == len(where_conjuncts)
             read = self._index_ordered(
@@ -1034,6 +1016,41 @@ def _index_order(orders, alias_exprs: dict[str, Expression],
             return None
         columns.append(expr.column)
     return tuple(columns) or None
+
+
+def point_lookup(name: str, schema, indexes, predicates, params):
+    """The index point lookup that ``predicates`` allow on one table, as
+    SELECT (:meth:`Executor._access_path`) and UPDATE/DELETE choose it.
+
+    Collects every ``column = constant`` binding on the table that
+    ``name`` qualifies (bare references count), validated to the
+    column's key.  Returns those ``(ref, value)`` equalities, the bound
+    keys by column, the subset that keeps exactly the rows with that key
+    (:func:`_exact_equality`), and the index, if any, whose full key the
+    bindings cover with the most columns.
+    """
+    equalities = [
+        (ref, value)
+        for ref, value in constant_equalities(predicates, params)
+        if ref.table in (None, name) and schema.has_column(ref.column)
+    ]
+    bound: dict[str, Any] = {}
+    exact: dict[str, Any] = {}
+    for ref, value in equalities:
+        column_type = schema.column(ref.column).type
+        try:
+            key = column_type.validate(value)
+        except Exception:
+            continue  # incomparable constant: not usable for a lookup
+        bound[ref.column] = key
+        if _exact_equality(column_type, key, value):
+            exact[ref.column] = key
+    best = None
+    for index in indexes.values():
+        if all(column in bound for column in index.columns):
+            if best is None or len(index.columns) > len(best.columns):
+                best = index
+    return equalities, bound, exact, best
 
 
 def _exact_equality(column_type, key: Any, value: Any) -> bool:

@@ -12,10 +12,6 @@ limits.
 """
 
 from repro.sqldb.parser.lexer import Token, tokenize
-from repro.sqldb.parser.parser import (
-    parse_script,
-    parse_script_with_sql,
-    parse_sql,
-)
+from repro.sqldb.parser.parser import parse_script, parse_sql
 
-__all__ = ["Token", "tokenize", "parse_sql", "parse_script", "parse_script_with_sql"]
+__all__ = ["Token", "tokenize", "parse_sql", "parse_script"]

@@ -30,6 +30,10 @@ __all__ = [
 class Statement:
     """Base class for parsed statements."""
 
+    #: the statement's own source text, set by the parser: what tracing
+    #: and the slow-query log show and what the WAL records for DDL
+    sql = ""
+
 
 class CreateTableStmt(Statement):
     def __init__(

@@ -97,33 +97,25 @@ _RESERVED = {
 
 
 def parse_sql(sql: str) -> Statement:
-    """Parse a single SQL statement."""
+    """Parse a single SQL statement; ``stmt.sql`` is its source text."""
     parser = _Parser(sql)
-    stmt = parser.parse_statement()
+    stmt = parser.parse_sourced_statement()
     parser.accept_op(";")
     parser.expect_eof()
     return stmt
 
 
 def parse_script(sql: str) -> list[Statement]:
-    """Parse a ``;``-separated script into a statement list."""
-    return [stmt for stmt, _text in parse_script_with_sql(sql)]
+    """Parse a ``;``-separated script into a statement list.
 
-
-def parse_script_with_sql(sql: str) -> list[tuple[Statement, str]]:
-    """Parse a script into ``(statement, source_text)`` pairs.
-
-    The text slice covers the statement without its terminating ``;``, so
-    tracing and slow-query logging can attribute script statements to the
-    SQL that produced them.
+    Each statement's ``sql`` is its own slice of the script, without the
+    terminating ``;``, so tracing, the slow-query log and the WAL see the
+    SQL that produced it.
     """
     parser = _Parser(sql)
-    out: list[tuple[Statement, str]] = []
+    out: list[Statement] = []
     while not parser.at_eof():
-        start = parser.peek().position
-        stmt = parser.parse_statement()
-        end = parser.peek().position if not parser.at_eof() else len(sql)
-        out.append((stmt, sql[start:end].strip()))
+        out.append(parser.parse_sourced_statement())
         if not parser.accept_op(";"):
             break
     parser.expect_eof()
@@ -194,6 +186,13 @@ class _Parser:
         return self.peek(offset).matches(keyword)
 
     # -- statements ----------------------------------------------------------
+
+    def parse_sourced_statement(self) -> Statement:
+        """One statement, carrying its slice of the source as ``sql``."""
+        start = self.peek().position
+        stmt = self.parse_statement()
+        stmt.sql = self.sql[start:self.peek().position].strip()
+        return stmt
 
     def parse_statement(self) -> Statement:
         token = self.peek()

@@ -611,10 +611,9 @@ class Table:
             self.heap.rewrite(rowid, row + (default,))
         self.heap.clear_history()
 
-    def drop_column(self, name: str) -> list:
+    def drop_column(self, name: str) -> None:
         """ALTER TABLE DROP COLUMN: remove the column and its stored
-        values.  Returns the dropped values (the database layer unlinks
-        DATALINKs from them).  Key/indexed/checked columns are protected.
+        values.  Key/indexed/checked columns are protected.
         """
         name = name.upper()
         index_position = self.schema.column_index(name)
@@ -636,9 +635,7 @@ class Table:
                 raise CatalogError(
                     f"cannot drop column {name}: used by a CHECK constraint"
                 )
-        dropped = []
         for rowid, row in self.heap.scan():
-            dropped.append(row[index_position])
             self.heap.rewrite(
                 rowid, row[:index_position] + row[index_position + 1:]
             )
@@ -647,7 +644,6 @@ class Table:
         self.schema._by_name = {
             c.name: i for i, c in enumerate(self.schema.columns)
         }
-        return dropped
 
     # -- access -------------------------------------------------------------------
 

@@ -259,18 +259,9 @@ class TransactionManager:
             elif kind == "update":
                 _, table_name, rowid, old_row = entry
                 self._catalog.table(table_name).update(rowid, old_row)
-            elif kind == "create_table":
-                _, table_name = entry
-                self._catalog.drop_table(table_name)
-            elif kind == "create_index":
-                _, index_name = entry
-                self._catalog.drop_index(index_name)
-            elif kind == "create_view":
-                _, view_name = entry
-                self._catalog.drop_view(view_name)
-            elif kind == "drop_view":
-                _, view_name, select, ddl_text = entry
-                self._catalog.create_view(view_name, select, ddl_text)
+            elif kind == "ddl":
+                _, inverse = entry
+                self._catalog.apply(inverse)
             else:  # pragma: no cover - defensive
                 raise TransactionError(f"unknown undo entry {kind!r}")
         for table_name in reinstated:
@@ -300,5 +291,10 @@ class TransactionManager:
             {"op": "update", "table": table_name, "rowid": rowid, "row": new_row},
         )
 
-    def record_ddl(self, txn: Transaction, undo_entry: tuple, sql: str) -> None:
-        txn.record(undo_entry, {"op": "ddl", "sql": sql})
+    def record_ddl(self, txn: Transaction, stmt, inverse) -> None:
+        """A schema change: its redo record is the statement's own text;
+        ``inverse`` is the parsed statement that undoes it (None for the
+        changes no explicit transaction may make)."""
+        if inverse is not None:
+            txn.undo.append(("ddl", inverse))
+        txn.redo.append({"op": "ddl", "sql": stmt.sql})

@@ -43,6 +43,9 @@ class TestBackupRestoreProperty:
             "READ PERMISSION DB WRITE PERMISSION BLOCKED RECOVERY YES "
             "ON UNLINK RESTORE)"
         )
+        # the schema beyond the table travels in the same image
+        db.execute("CREATE INDEX F_BY_SIZE ON F (SIZE)")
+        db.execute("CREATE VIEW SMALL AS SELECT NAME, SIZE FROM F WHERE SIZE < 100")
         for i, (name, content) in enumerate(sorted(files.items())):
             server = servers[i % hosts]
             path = f"/data/{name}.bin"
@@ -60,6 +63,11 @@ class TestBackupRestoreProperty:
             directory, TokenManager(secret=b"p", time_source=lambda: 0.0)
         )
         assert db2.execute("SELECT COUNT(*) FROM F").scalar() == len(files)
+        assert db2.catalog.ddl_script() == db.catalog.ddl_script()
+        assert "F_BY_SIZE" in db2.explain("SELECT NAME FROM F WHERE SIZE = 1")
+        assert sorted(db2.execute("SELECT * FROM SMALL").rows) == sorted(
+            db.execute("SELECT * FROM SMALL").rows
+        )
         for name, content in files.items():
             value = db2.execute(
                 "SELECT D FROM F WHERE NAME = ?", (name,)

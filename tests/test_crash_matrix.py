@@ -104,7 +104,9 @@ class Checkpoint(Scenario):
     name = "checkpoint"
     tables = ["t"]
     # A checkpoint does not change logical state: pre == post, and the
-    # assertion's real teeth are "no duplicated rows" after replay.
+    # assertion's real teeth are "no duplicated rows" after replay, and
+    # the schema beyond the table (a user index, a view over a view)
+    # coming back from whichever of checkpoint and log recovery reads.
     points = [
         ("wal.checkpoint.tmp_written", 0, "pre"),
         ("wal.checkpoint.after_replace", 0, "pre"),
@@ -115,6 +117,9 @@ class Checkpoint(Scenario):
         db.execute(PLAIN_DDL)
         db.execute("INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'c')")
         db.execute("UPDATE t SET v = 'z' WHERE k = 3")
+        db.execute("CREATE INDEX IX_T_V ON t (v)")
+        db.execute("CREATE VIEW z_base AS SELECT k, v FROM t WHERE k > 1")
+        db.execute("CREATE VIEW a_top AS SELECT v FROM z_base")
 
     def mutate(self, db):
         db.checkpoint()
@@ -201,9 +206,11 @@ MATRIX = [
 
 
 def db_state(db, tables):
-    """Logical contents, normalised for comparison across processes."""
-    state = {}
-    for table in tables:
+    """Logical contents, normalised for comparison across processes: the
+    schema script (tables, user indexes, views), the rows of ``tables``
+    and of every view."""
+    state = {"ddl": db.catalog.ddl_script()}
+    for table in tables + db.catalog.view_names():
         rows = []
         for row in db.execute(f"SELECT * FROM {table}").rows:
             rows.append(tuple(

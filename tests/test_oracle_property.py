@@ -334,10 +334,11 @@ def _ordered_case(draw):
     order = f"A.{sort}{'' if ascending else ' DESC'}"
     select = f"SELECT A.K, A.I, A.D, A.S FROM A WHERE {where} ORDER BY "
     tail = f" LIMIT {limit} OFFSET {offset}"
-    # the path runs unless the further conjunct binds the unique key (a
-    # point lookup then wins); left unchecked when it might
+    # the path runs unless the further conjunct binds the unique key or
+    # the sort column (a lookup on the whole key then wins); left
+    # unchecked when it might
     forced = indexed and not_null and ascending
-    if forced and re.search(r"A\.K = \?|\? = A\.K", where):
+    if forced and re.search(rf"A\.(K|{sort}) = \?|\? = A\.(K|{sort})", where):
         forced = None
     return (ddl, rows, changes, select + order + tail,
             select + f"{order}, A.rowid" + tail, where, params, forced)

@@ -451,3 +451,34 @@ class TestPlannerHelpers:
             "B LIKE 'x%'",
             "C BETWEEN 1 AND 2",
         ]
+
+
+class TestWriteLookups:
+    """UPDATE and DELETE find their rows through the point lookup SELECT
+    would use, so the ingest loop's keyed writes never scan."""
+
+    def test_keyed_update_and_delete_read_no_scan(self, monkeypatch):
+        db = Database()
+        db.execute("CREATE TABLE S (SIMULATION_KEY VARCHAR(8) PRIMARY KEY, "
+                   "TITLE VARCHAR(20))")
+        db.execute("CREATE TABLE R (FILE_NAME VARCHAR(20), SIMULATION_KEY "
+                   "VARCHAR(8) REFERENCES S (SIMULATION_KEY), "
+                   "PRIMARY KEY (FILE_NAME, SIMULATION_KEY))")
+        for key in ("S1", "S2"):
+            db.execute("INSERT INTO S VALUES (?, 't')", (key,))
+            for t in range(3):
+                db.execute("INSERT INTO R VALUES (?, ?)", (f"ts{t}", key))
+
+        def no_scan():
+            raise AssertionError("UPDATE/DELETE scanned the table")
+
+        for name in ("S", "R"):
+            monkeypatch.setattr(db.catalog.table(name), "scan", no_scan)
+        assert db.execute("DELETE FROM R WHERE SIMULATION_KEY = ?",
+                          ("S1",)).rowcount == 3
+        assert db.execute("UPDATE S SET TITLE = ? WHERE SIMULATION_KEY = ?",
+                          ("u", "S1")).rowcount == 1
+        monkeypatch.undo()
+        assert db.execute("SELECT SIMULATION_KEY FROM R").rows == [("S2",)] * 3
+        assert db.execute("SELECT TITLE FROM S WHERE SIMULATION_KEY = 'S1'"
+                          ).scalar() == "u"

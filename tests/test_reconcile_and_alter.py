@@ -130,6 +130,26 @@ class TestAlterTableDrop:
         db.execute("ALTER TABLE t DROP COLUMN d")
         assert not server.filesystem.entry("/f.bin").linked
 
+    def test_drop_table_unlinks_files_in_autocommit_only(self):
+        linker = DataLinker(TokenManager(secret=b"a", time_source=lambda: 0.0))
+        server = linker.register_server(FileServer("fs.a"))
+        server.put("/f.bin", b"x")
+        db = Database()
+        db.set_datalink_hooks(linker)
+        db.execute(
+            "CREATE TABLE t (k INTEGER PRIMARY KEY, d DATALINK "
+            "LINKTYPE URL FILE LINK CONTROL READ PERMISSION DB "
+            "WRITE PERMISSION BLOCKED RECOVERY NO ON UNLINK RESTORE)"
+        )
+        db.execute("INSERT INTO t VALUES (1, 'http://fs.a/f.bin')")
+        db.execute("BEGIN")
+        with pytest.raises(TransactionError):
+            db.execute("DROP TABLE t")
+        db.execute("COMMIT")
+        assert server.filesystem.entry("/f.bin").linked
+        db.execute("DROP TABLE t")
+        assert not server.filesystem.entry("/f.bin").linked
+
     def test_alter_survives_recovery(self, tmp_path):
         d = str(tmp_path)
         db = Database(d)
